@@ -124,8 +124,8 @@ impl Placement for StripePlacement {
 /// contains *exactly* `t` bad nodes.
 ///
 /// Requires both torus dimensions to be multiples of `2r+1` (otherwise
-/// the wrap seam breaks the exact-count property); the engines assert
-/// this.
+/// the wrap seam breaks the exact-count property); see
+/// [`LatticePlacement::misfit`].
 #[derive(Debug, Clone, Copy)]
 pub struct LatticePlacement {
     /// Number of residue classes to corrupt (`t`).
@@ -141,19 +141,30 @@ impl LatticePlacement {
     pub fn new(t: u32) -> Self {
         LatticePlacement { t, offset: 1 }
     }
+
+    /// Why this lattice cannot tile a `width × height` torus of range
+    /// `r`, if it cannot: both sides must be multiples of `2r+1`, and
+    /// the `t` classes from `offset` must fit in the `(2r+1)²` residue
+    /// classes.
+    pub fn misfit(&self, width: u32, height: u32, r: u32) -> Option<String> {
+        let side = 2 * u64::from(r) + 1;
+        if u64::from(width) % side != 0 || u64::from(height) % side != 0 {
+            Some(format!("lattice needs sides divisible by 2r+1 = {side}"))
+        } else if u64::from(self.offset) + u64::from(self.t) > side * side {
+            let classes = side * side;
+            Some(format!("lattice offset + t exceeds {classes} classes"))
+        } else {
+            None
+        }
+    }
 }
 
 impl Placement for LatticePlacement {
     fn bad_nodes(&self, grid: &Grid) -> Vec<NodeId> {
+        if let Some(why) = self.misfit(grid.width(), grid.height(), grid.range()) {
+            panic!("{why}");
+        }
         let side = 2 * grid.range() + 1;
-        assert!(
-            grid.width().is_multiple_of(side) && grid.height().is_multiple_of(side),
-            "lattice placement needs dimensions divisible by 2r+1"
-        );
-        assert!(
-            self.t + self.offset <= side * side,
-            "not enough residue classes"
-        );
         let mut out = Vec::new();
         for class in self.offset..self.offset + self.t {
             let cx = class % side;
@@ -199,9 +210,8 @@ impl Placement for RandomPlacement {
             }
             // Adding c raises the count of every neighborhood containing
             // c, i.e. N(u) for u in N(c).
-            let row = topo.neighbors_of(c);
-            if row.iter().all(|&u| load[u] < self.t) {
-                for &u in row {
+            if topo.neighbors_of(c).all(|u| load[u] < self.t) {
+                for u in topo.neighbors_of(c) {
                     load[u] += 1;
                 }
                 out.push(c);

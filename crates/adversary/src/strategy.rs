@@ -73,8 +73,8 @@ impl StampedVec {
 /// omniscient about protocol state — the worst case).
 #[derive(Debug, Clone, Copy)]
 pub struct WaveView<'a> {
-    /// The precomputed neighborhood topology (CSR slices + bitset
-    /// membership); `topology.grid()` exposes the raw torus.
+    /// The neighborhood topology (stencil runs, membership, common
+    /// neighbors); `topology.grid()` exposes the raw torus.
     pub topology: &'a Topology,
     /// This wave's transmissions: `(sender, copies)`. Senders are decided
     /// good nodes relaying `Vtrue` (the base station included).
@@ -298,7 +298,7 @@ impl CorruptionStrategy for GreedyFrontier {
         // is proportional to the wave, not the grid.
         for &(tx, copies) in view.transmissions {
             s.sent.set(tx, copies);
-            for &u in topo.neighbors_of(tx) {
+            for u in topo.neighbors_of(tx) {
                 if view.is_good[u] && !view.accepted_true[u] {
                     if !s.incoming.is_set(u) {
                         s.touched.push(u);
@@ -337,11 +337,7 @@ impl CorruptionStrategy for GreedyFrontier {
                 // nodes of the expanding region are the cheapest to
                 // keep starving.
                 targets.sort_unstable_by_key(|&(deficit, u)| {
-                    let suppliers = topo
-                        .neighbors_of(u)
-                        .iter()
-                        .filter(|&&v| view.is_good[v])
-                        .count();
+                    let suppliers = topo.neighbors_of(u).filter(|&v| view.is_good[v]).count();
                     (suppliers, deficit, u)
                 });
             }
@@ -373,7 +369,7 @@ impl CorruptionStrategy for GreedyFrontier {
                 s.capacity.get(u)
             } else {
                 let mut cap = 0u64;
-                for &b in topo.neighbors_of(u) {
+                for b in topo.neighbors_of(u) {
                     if !view.is_good[b] {
                         cap = cap.saturating_add(view.remaining_budget[b]);
                     }
@@ -386,14 +382,13 @@ impl CorruptionStrategy for GreedyFrontier {
             // transmitted.
             let future: u64 = topo
                 .neighbors_of(u)
-                .iter()
-                .filter(|&&v| s.promoted.is_set(v))
-                .map(|&v| view.relay_quota[v])
+                .filter(|&v| s.promoted.is_set(v))
+                .map(|v| view.relay_quota[v])
                 .sum();
             let supply = view.tallies_true[u] + s.incoming.get(u) + future;
             if supply.saturating_sub(capacity) >= view.threshold {
                 s.promoted.set(u, 1);
-                for &v in topo.neighbors_of(u) {
+                for v in topo.neighbors_of(u) {
                     if view.is_good[v] && !view.accepted_true[v] && !s.promoted.is_set(v) {
                         s.queue.push(v);
                     }
@@ -406,10 +401,10 @@ impl CorruptionStrategy for GreedyFrontier {
 
         for (deficit, u) in targets {
             // Corruption already landing on u from previously planned
-            // collisions (O(1) torus adjacency — no bitset rows).
+            // collisions.
             let planned_at_u: u64 = plan
                 .iter()
-                .filter(|c| grid.are_neighbors(c.attacker, u) && grid.are_neighbors(c.sender, u))
+                .filter(|c| topo.contains(c.attacker, u) && topo.contains(c.sender, u))
                 .map(|c| c.copies)
                 .sum();
             let mut need = deficit.saturating_sub(planned_at_u);
@@ -421,14 +416,11 @@ impl CorruptionStrategy for GreedyFrontier {
             // N(u) with uncollided copies.
             let mut attackers: Vec<NodeId> = topo
                 .neighbors_of(u)
-                .iter()
-                .copied()
                 .filter(|&b| !view.is_good[b] && view.remaining_budget[b] > s.spent.get(b))
                 .collect();
             let mut senders: Vec<(NodeId, u64)> = topo
                 .neighbors_of(u)
-                .iter()
-                .filter_map(|&tx| {
+                .filter_map(|tx| {
                     if !s.sent.is_set(tx) {
                         return None;
                     }
@@ -735,7 +727,7 @@ mod tests {
 
         let mut incoming = vec![0u64; n];
         for &(s, copies) in view.transmissions {
-            for &u in topo.neighbors_of(s) {
+            for u in topo.neighbors_of(s) {
                 if view.is_good[u] && !view.accepted_true[u] {
                     incoming[u] += copies;
                 }
@@ -758,11 +750,7 @@ mod tests {
             TargetOrder::Nearest => targets.sort_unstable(),
             TargetOrder::Corners => {
                 targets.sort_unstable_by_key(|&(deficit, u)| {
-                    let suppliers = topo
-                        .neighbors_of(u)
-                        .iter()
-                        .filter(|&&v| view.is_good[v])
-                        .count();
+                    let suppliers = topo.neighbors_of(u).filter(|&v| view.is_good[v]).count();
                     (suppliers, deficit, u)
                 });
             }
@@ -771,7 +759,7 @@ mod tests {
         let doomed = {
             let mut capacity = vec![0u64; n];
             for &b in view.bad_nodes {
-                for &u in topo.neighbors_of(b) {
+                for u in topo.neighbors_of(b) {
                     capacity[u] = capacity[u].saturating_add(view.remaining_budget[b]);
                 }
             }
@@ -784,9 +772,8 @@ mod tests {
                     }
                     let future: u64 = topo
                         .neighbors_of(u)
-                        .iter()
-                        .filter(|&&v| unavoidable[v] && !view.accepted_true[v])
-                        .map(|&v| view.relay_quota[v])
+                        .filter(|&v| unavoidable[v] && !view.accepted_true[v])
+                        .map(|v| view.relay_quota[v])
                         .sum();
                     let supply = view.tallies_true[u] + incoming[u] + future;
                     if supply.saturating_sub(capacity[u]) >= view.threshold {
@@ -825,14 +812,11 @@ mod tests {
 
             let mut attackers: Vec<NodeId> = topo
                 .neighbors_of(u)
-                .iter()
-                .copied()
                 .filter(|&b| !view.is_good[b] && budget[b] > 0)
                 .collect();
             let mut senders: Vec<(NodeId, u64)> = topo
                 .neighbors_of(u)
-                .iter()
-                .filter_map(|&s| {
+                .filter_map(|s| {
                     if !transmitting[s] {
                         return None;
                     }

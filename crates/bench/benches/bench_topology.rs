@@ -1,14 +1,14 @@
-//! BENCH-TOPOLOGY — the CSR + bitset fast path vs the naive `Grid`
-//! iterators it replaced in every engine hot loop.
+//! BENCH-TOPOLOGY — the `Topology` stencil arithmetic vs the naive
+//! `Grid` iterators it replaced in every engine hot loop.
 //!
 //! Three layers, all on the 100×100, r = 5 torus (n = 10⁴ nodes,
 //! degree 120) the perf trajectory tracks:
 //!
 //! * **primitive**: neighborhood iteration, pair membership and
-//!   common-neighbor intersection, naive vs precomputed;
+//!   common-neighbor intersection, naive vs stencil arithmetic;
 //! * **wave kernel**: one incoming-copy accumulation sweep over a 500-
 //!   sender frontier — the inner loop of the counting engine's oracle
-//!   waves — naive vs CSR slices;
+//!   waves — naive vs stencil runs;
 //! * **engine**: a full `CountingSim::run_oracle` fixpoint on the same
 //!   torus (the rewired engine end to end, construction included).
 
@@ -48,11 +48,11 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("neighbors_csr_full_sweep", |b| {
+    group.bench_function("neighbors_stencil_full_sweep", |b| {
         b.iter(|| {
             let mut acc = 0usize;
             for u in 0..n {
-                for &v in topo.neighbors_of(u) {
+                for v in topo.neighbors_of(u) {
                     acc = acc.wrapping_add(v);
                 }
             }
@@ -68,7 +68,7 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("contains_bitset", |b| {
+    group.bench_function("contains_stencil", |b| {
         b.iter(|| {
             let mut acc = 0usize;
             for &(u, v) in &pairs {
@@ -86,7 +86,7 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("common_neighbors_bitset_into", |b| {
+    group.bench_function("common_neighbors_stencil_into", |b| {
         let mut out = Vec::with_capacity(topo.degree());
         b.iter(|| {
             let mut acc = 0usize;
@@ -120,11 +120,11 @@ fn bench_wave_kernel(c: &mut Criterion) {
             black_box(incoming[0])
         })
     });
-    group.bench_function("incoming_sweep_csr", |b| {
+    group.bench_function("incoming_sweep_stencil", |b| {
         b.iter(|| {
             incoming.fill(0);
             for &(s, copies) in &wave {
-                for &u in topo.neighbors_of(s) {
+                for u in topo.neighbors_of(s) {
                     incoming[u] += copies;
                 }
             }

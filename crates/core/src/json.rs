@@ -319,12 +319,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one UTF-8 character (input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("utf8 input");
-                    let c = rest.chars().next().expect("peeked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash as one slice: both are ASCII, so in a
+                    // &str input the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]);
+                    out.push_str(run.expect("utf8 input"));
                 }
             }
         }
@@ -461,6 +464,24 @@ mod tests {
             Json::parse("\"\\u0041\\ud83d\\ude00\"").unwrap(),
             Json::Str("A😀".into())
         );
+    }
+
+    #[test]
+    fn long_mixed_strings_decode_exactly_in_one_pass() {
+        // ~200k chars of 1-, 2-, 3- and 4-byte UTF-8 between escapes:
+        // decoding copies unescaped runs whole, so this stays linear.
+        let unit = "ascii £é €語 😀🦀 \"q\" \\ \n\t \u{1} ";
+        let original = unit.repeat(200_000 / unit.chars().count() + 1);
+        assert!(original.chars().count() >= 200_000);
+        let doc = string(&original);
+        match Json::parse(&doc).unwrap() {
+            Json::Str(s) => assert!(s == original, "decoded string differs"),
+            other => panic!("{other:?}"),
+        }
+        // Explicit \u escapes inside a long run decode in place.
+        let doc = format!("\"{}\\u00e9{}\"", "語".repeat(1000), "x".repeat(1000));
+        let expect = format!("{}é{}", "語".repeat(1000), "x".repeat(1000));
+        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(expect));
     }
 
     #[test]

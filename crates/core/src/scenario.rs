@@ -257,7 +257,9 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// [`ScenarioError::Net`] for invalid grids,
-    /// [`ScenarioError::LocalBoundViolated`] if the placement exceeds `t`.
+    /// [`ScenarioError::Invalid`] for a lattice placement the torus does
+    /// not fit, [`ScenarioError::LocalBoundViolated`] if the placement
+    /// exceeds `t`.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let grid = Grid::new(self.width, self.height, self.r)?;
         let params = Params::new(self.r, self.t, self.mf);
@@ -265,7 +267,12 @@ impl ScenarioBuilder {
         let bad_nodes = match self.placement {
             PlacementChoice::None => Vec::new(),
             PlacementChoice::Lattice { offset } => {
-                LatticePlacement { t: self.t, offset }.bad_nodes(&grid)
+                let lattice = LatticePlacement { t: self.t, offset };
+                if let Some(message) = lattice.misfit(self.width, self.height, self.r) {
+                    let what = "placement".to_string();
+                    return Err(ScenarioError::Invalid { what, message });
+                }
+                lattice.bad_nodes(&grid)
             }
             PlacementChoice::Stripes(stripes) => {
                 let mut all = Vec::new();

@@ -826,6 +826,13 @@ pub(crate) fn validate_point(spec: &PointSpec, engine: EngineKind) -> Result<(),
             check_cell("placement.nodes", x, y)?;
         }
     }
+    if let PlacementSpec::Lattice { offset } = spec.placement {
+        // The placement asserts this; a point must fail here instead.
+        let lattice = bftbcast_adversary::LatticePlacement { t: spec.t, offset };
+        if let Some(why) = lattice.misfit(w, h, spec.r) {
+            return Err(invalid("placement", why));
+        }
+    }
     if let PlacementSpec::Bernoulli { p } = spec.placement {
         if !(0.0..=1.0).contains(&p) {
             return Err(invalid("placement.p", "rate must lie in [0, 1]"));

@@ -8,18 +8,16 @@
 //! that waste is the whole runtime. [`Worklist`] is the data structure
 //! that makes the sparse iteration exact:
 //!
-//! * a **bitset of marks** (one word per 64 nodes, laid out in the same
-//!   row-major node order as the CSR adjacency of
-//!   [`Topology`](crate::Topology)) answers "already queued?" in O(1)
-//!   and deduplicates inserts;
+//! * a **bitset of marks** (one word per 64 nodes, in row-major node
+//!   order) answers "already queued?" in O(1) and deduplicates inserts;
 //! * a **dense item vector** records the queued ids, so clearing is
 //!   `O(front)` — only the words actually touched are reset, never the
 //!   whole bitset;
-//! * [`Worklist::extend_neighborhoods`] unions whole CSR neighborhood
-//!   rows into the marks with a run-compressed word-OR: consecutive id
-//!   runs inside a row (the common case on a torus away from the wrap
-//!   seam) become one masked OR per 64-bit word instead of one
-//!   test-and-set per bit, and because CSR rows are streamed in seed
+//! * [`Worklist::extend_neighborhoods`] unions whole neighborhoods into
+//!   the marks with a run-compressed word-OR: each contiguous id run of
+//!   [`Topology::runs`] (one per stencil row, split only at the wrap
+//!   seam and the centre) becomes one masked OR per 64-bit word instead
+//!   of one test-and-set per bit, and because seeds are streamed in
 //!   order the mark words for a (2r+1)-row band stay cache-resident
 //!   across adjacent seeds — the tiled, cache-blocked intersection of
 //!   the frontier kernel.
@@ -148,29 +146,19 @@ impl Worklist {
         });
     }
 
-    /// Unions the CSR neighborhood row of every seed into the worklist —
-    /// the frontier-expansion kernel.
+    /// Unions the neighborhood of every seed into the worklist — the
+    /// frontier-expansion kernel.
     ///
-    /// Consecutive id runs within a row collapse to one masked OR per
-    /// 64-bit word (run-compressed), and rows are streamed in seed
-    /// order so the mark words of a neighborhood band stay hot across
-    /// adjacent seeds.
+    /// Each contiguous id run of [`Topology::runs`] becomes one masked
+    /// OR per 64-bit word, and seeds are streamed in order so the mark
+    /// words of a neighborhood band stay hot across adjacent seeds.
     pub fn extend_neighborhoods<I>(&mut self, topology: &Topology, seeds: I)
     where
         I: IntoIterator<Item = NodeId>,
     {
         for s in seeds {
-            let row = topology.neighbors_of(s);
-            let mut i = 0;
-            while i < row.len() {
-                let start = row[i];
-                let mut end = start;
-                while i + 1 < row.len() && row[i + 1] == end + 1 {
-                    end += 1;
-                    i += 1;
-                }
-                i += 1;
-                self.insert_run(start, end);
+            for run in topology.runs(s) {
+                self.insert_run(run.start, run.end - 1);
             }
         }
     }
@@ -263,7 +251,7 @@ mod tests {
         fast.extend_neighborhoods(&topo, seeds.iter().copied());
         let mut slow = Worklist::new(topo.node_count());
         for &s in &seeds {
-            for &u in topo.neighbors_of(s) {
+            for u in topo.neighbors_of(s) {
                 slow.insert(u);
             }
         }

@@ -15,10 +15,11 @@
 //!   schedule ([`Schedule`]);
 //! * every node has a finite message budget ([`Budget`]) — the property the
 //!   paper's message-efficiency results revolve around;
-//! * a precomputed flat neighborhood topology ([`Topology`]): CSR
-//!   adjacency slices plus per-node bitset rows, the allocation-free
-//!   fast path the simulation engines' hot loops run on (the naive
-//!   [`Grid`] iterators remain as the property-test oracle);
+//! * the neighborhood stencil as torus arithmetic ([`Topology`]):
+//!   contiguous id runs, edge ids, membership and common neighbors
+//!   from two per-axis wrap tables, the allocation-free fast path the
+//!   simulation engines' hot loops run on (the naive [`Grid`]
+//!   iterators remain as the property-test oracle);
 //! * an active-frontier worklist ([`Worklist`]) plus the [`ScanMode`]
 //!   flag: the sparse iteration kernel that lets the wave engines visit
 //!   only the nodes whose neighborhood changed last wave, making

@@ -1,33 +1,15 @@
-//! Precomputed flat neighborhood topology: the allocation-free fast
-//! path every engine hot loop runs on.
+//! The radius-`r` L∞ stencil of a [`Grid`] as torus arithmetic: the
+//! fast path every engine hot loop runs on.
 //!
-//! [`Grid::neighbors`] re-derives torus coordinates with `rem_euclid`
-//! divisions for every yielded neighbor, and [`Grid::are_neighbors`] /
-//! [`Grid::common_neighbors`] cost a distance computation (or an
-//! O(deg²) filter with a fresh `Vec`) per call. Those costs are
-//! invisible at unit-test scale and dominant in the wave/slot engines,
-//! which visit every neighborhood every round. [`Topology`] pays the
-//! derivation once:
-//!
-//! * a **CSR flat array** of all neighborhoods — `offsets` +
-//!   `adjacency`, exploiting the fixed degree `(2r+1)² − 1` so every
-//!   row has the same width — giving [`Topology::neighbors_of`] as a
-//!   plain slice borrow, no iterator state, no divisions;
-//! * per-node **bitset rows** (`⌈n/64⌉` words each) giving O(1)
-//!   [`Topology::contains`] and word-AND neighborhood intersection
-//!   ([`Topology::common_neighbors_into`],
-//!   [`Topology::common_neighbor_count`]).
-//!
-//! The CSR block is `n · degree` ids, built eagerly. The bitset block
-//! is `n·⌈n/64⌉` words — quadratic in `n`, ~12 MB at `n = 10⁴` — and
-//! is built **lazily on first membership/intersection query**, so
-//! engines that only walk CSR rows (the per-receiver oracles, crash
-//! waves) scale to millions of nodes without paying it; beyond ~10⁵
-//! nodes, membership-heavy callers should fall back to the arithmetic
-//! [`Grid`] predicates.
-//!
-//! [`Grid`] keeps its naive methods unchanged: they are the property-
-//! test oracle `Topology` is verified against (see `tests/prop.rs`).
+//! Every neighborhood on the paper's torus is the same `(2r+1)² − 1`
+//! stencil shifted to its centre, so [`Topology`] stores no per-node or
+//! per-pair data, only one wrap table per axis: memory is
+//! `O(width + height)` at any `n`. Neighborhoods come out as contiguous
+//! id runs ([`Topology::runs`]), edge ids mirror
+//! ([`Topology::neighbor`]), membership is a Chebyshev distance check,
+//! and common neighbors are the product of two per-axis window
+//! overlaps. [`Grid`]'s naive methods stay unchanged as the
+//! property-test oracle (`tests/prop.rs`).
 //!
 //! # Example
 //!
@@ -37,12 +19,18 @@
 //! let grid = Grid::new(9, 9, 1).unwrap();
 //! let topo = Topology::new(grid);
 //!
-//! // Fixed degree (2r+1)^2 - 1 = 8; neighborhoods are plain slices.
+//! // Degree (2r+1)^2 - 1 = 8, in the same order as the grid. Node 0
+//! // sits on both wrap seams, so its stencil rows split into runs.
 //! assert_eq!(topo.degree(), 8);
-//! let n0 = topo.neighbors_of(0);
-//! assert_eq!(n0.len(), 8);
+//! let n0: Vec<usize> = topo.neighbors_of(0).collect();
+//! assert_eq!(n0, topo.grid().neighbors(0).collect::<Vec<_>>());
+//! assert_eq!(topo.runs(0).next(), Some(80..81));
 //!
-//! // O(1) membership and word-AND intersection agree with the grid.
+//! // Edge ids mirror: u is its p-th neighbor's neighbor degree-1-p.
+//! let w = topo.neighbor(0, 2);
+//! assert_eq!(topo.neighbor(w, topo.degree() - 1 - 2), 0);
+//!
+//! // Membership and intersection agree with the grid.
 //! assert!(topo.contains(0, 1));
 //! let mut common = Vec::new();
 //! topo.common_neighbors_into(0, 1, &mut common);
@@ -53,105 +41,95 @@
 //! ```
 
 use crate::grid::{Grid, NodeId};
+use std::ops::Range;
 
-/// Precomputed CSR + bitset view of every neighborhood of a [`Grid`].
-///
-/// Immutable after construction; engines build one per run (or share
-/// one per sweep) and route all per-wave/per-slot neighborhood queries
-/// through it.
+/// The L∞ stencil of a [`Grid`] with per-axis wrap tables; engines
+/// route every per-wave/per-slot neighborhood query through it.
 #[derive(Debug, Clone)]
 pub struct Topology {
     grid: Grid,
-    /// Row width: `(2r+1)² − 1`, the same for every node.
-    degree: usize,
-    /// CSR row offsets into `adjacency`; `offsets[u] == u * degree`
-    /// (kept explicit so the layout reads as standard CSR and callers
-    /// can consume `offsets`/`adjacency` directly).
-    offsets: Vec<u32>,
-    /// All neighborhoods, row-concatenated: `adjacency[offsets[u] ..
-    /// offsets[u + 1]]` is `N(u)` in the same order `Grid::neighbors`
-    /// yields.
-    adjacency: Vec<NodeId>,
-    /// Words per bitset row: `⌈n/64⌉`.
-    words_per_row: usize,
-    /// Per-node membership rows: bit `v` of row `u` is set iff
-    /// `v ∈ N(u)`. Quadratic in `n`, so built on first use; CSR-only
-    /// consumers never allocate it (and `Clone` copies it only once
-    /// built).
-    bits: std::sync::OnceLock<Vec<u64>>,
+    /// `cols[j] == (j − r) mod width` for `j < width + 2r`: column
+    /// `x + dx − r` of the torus is `cols[x + dx]`.
+    cols: Vec<usize>,
+    /// `rows[j] == ((j − r) mod height) · width`: the id of the first
+    /// node of row `y + dy − r` is `rows[y + dy]`.
+    rows: Vec<NodeId>,
+}
+
+/// The coordinates within `r` of both `a` and `b` on an axis of length
+/// `axis`: the pairwise meets of their closed windows, each split at
+/// the wrap seam into ascending ranges. The meets come out ascending
+/// and disjoint (a disjoint pair meets in a range with `start > end`,
+/// which is empty).
+fn axis_overlap(a: usize, b: usize, r: usize, axis: usize) -> [Range<usize>; 4] {
+    let window = |c: usize| {
+        let start = (c + axis - r) % axis;
+        let end = start + 2 * r + 1;
+        if end <= axis {
+            [start..end, 0..0]
+        } else {
+            [0..end - axis, start..axis]
+        }
+    };
+    let (wa, wb) = (window(a), window(b));
+    let meet = |i: usize, j: usize| wa[i].start.max(wb[j].start)..wa[i].end.min(wb[j].end);
+    [meet(0, 0), meet(0, 1), meet(1, 0), meet(1, 1)]
+}
+
+/// The id runs of one neighborhood (see [`Topology::runs`]), walked as
+/// window positions `pos ∈ 0..2r+1` per stencil row: column `c0 + pos`,
+/// minus the torus width `w` from the wrap seam on (`seam == 2r+1`
+/// when the row does not wrap). `rows` holds the row bases not yet
+/// started.
+struct Runs<'a> {
+    rows: &'a [NodeId],
+    base: NodeId,
+    pos: usize,
+    r: usize,
+    w: usize,
+    c0: usize,
+    seam: usize,
+}
+
+impl Iterator for Runs<'_> {
+    type Item = Range<NodeId>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Range<NodeId>> {
+        let side = 2 * self.r + 1;
+        loop {
+            if self.pos == side {
+                let (&base, rest) = self.rows.split_first()?;
+                (self.base, self.rows, self.pos) = (base, rest, 0);
+            }
+            let start = self.pos;
+            // A run ends at the seam or the row's end; the centre row
+            // (r rows still to come) also skips position r, u itself.
+            let mut end = if start < self.seam { self.seam } else { side };
+            if self.rows.len() == self.r && (start..end).contains(&self.r) {
+                if start == self.r {
+                    self.pos += 1;
+                    continue;
+                }
+                end = self.r;
+            }
+            self.pos = end;
+            let first = self.base + self.c0 + start - usize::from(start >= self.seam) * self.w;
+            return Some(first..first + (end - start));
+        }
+    }
 }
 
 impl Topology {
-    /// Precomputes the full neighborhood structure of `grid`.
+    /// Builds the wrap tables of `grid` (`O(width + height)`).
     pub fn new(grid: Grid) -> Self {
-        let n = grid.node_count();
-        let degree = grid.neighborhood_size();
         let (w, h) = (grid.width() as usize, grid.height() as usize);
         let r = grid.range() as usize;
-        let side = 2 * r + 1;
-
-        // Wrapped coordinate lookup tables: wrapped[i] = (i - r) mod len
-        // for i in 0..side, evaluated per row/column instead of per
-        // neighbor. len >= side by the Grid invariant, so one
-        // conditional wrap suffices in each direction.
-        let wrap_axis = |center: usize, len: usize| -> Vec<usize> {
-            (0..side)
-                .map(|i| {
-                    let raw = center + len + i - r; // >= 0
-                    let m = raw % len;
-                    debug_assert!(m < len);
-                    m
-                })
-                .collect()
-        };
-
-        let mut adjacency = Vec::with_capacity(n * degree);
-
-        // Column tables depend only on x; reuse across rows.
-        let col_tables: Vec<Vec<usize>> = (0..w).map(|x| wrap_axis(x, w)).collect();
-        for y in 0..h {
-            let rows = wrap_axis(y, h);
-            for cols in &col_tables {
-                for (dy, &ny) in rows.iter().enumerate() {
-                    let row_base = ny * w;
-                    for (dx, &nx) in cols.iter().enumerate() {
-                        if dy == r && dx == r {
-                            continue; // the node itself
-                        }
-                        adjacency.push(row_base + nx);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(adjacency.len(), n * degree);
-
-        let offsets = (0..=n)
-            .map(|u| u32::try_from(u * degree).expect("adjacency exceeds u32 offsets"))
-            .collect();
-
-        Topology {
-            grid,
-            degree,
-            offsets,
-            adjacency,
-            words_per_row: n.div_ceil(64),
-            bits: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// The bitset rows, built from the CSR block on first use.
-    fn bitset(&self) -> &[u64] {
-        self.bits.get_or_init(|| {
-            let n = self.node_count();
-            let mut bits = vec![0u64; n * self.words_per_row];
-            for u in 0..n {
-                let base = u * self.words_per_row;
-                for &v in self.neighbors_of(u) {
-                    bits[base + v / 64] |= 1u64 << (v % 64);
-                }
-            }
-            bits
-        })
+        // len >= 2r+1 by the Grid invariant, so j + len - r never
+        // underflows and one reduction wraps it.
+        let cols = (0..w + 2 * r).map(|j| (j + w - r) % w).collect();
+        let rows = (0..h + 2 * r).map(|j| (j + h - r) % h * w).collect();
+        Topology { grid, cols, rows }
     }
 
     /// The underlying torus.
@@ -166,70 +144,90 @@ impl Topology {
 
     /// The uniform neighborhood size `(2r+1)² − 1`.
     pub fn degree(&self) -> usize {
-        self.degree
+        self.grid.neighborhood_size()
     }
 
-    /// The CSR row offsets (length `n + 1`).
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    /// `(width, height, r)` as `usize`.
+    fn dims(&self) -> (usize, usize, usize) {
+        let g = &self.grid;
+        (g.width() as usize, g.height() as usize, g.range() as usize)
     }
 
-    /// The concatenated adjacency rows (length `n · degree`).
-    pub fn adjacency(&self) -> &[NodeId] {
-        &self.adjacency
-    }
-
-    /// The (open) neighborhood of `u` as a borrowed slice — the
-    /// allocation-free replacement for collecting [`Grid::neighbors`].
+    /// The (open) neighborhood of `u` as contiguous id runs, in
+    /// [`Grid::neighbors`] order: one run per stencil row, split where
+    /// the row wraps and, on the centre row, around `u` itself.
     #[inline]
-    pub fn neighbors_of(&self, u: NodeId) -> &[NodeId] {
-        let start = self.offsets[u] as usize;
-        let end = self.offsets[u + 1] as usize;
-        &self.adjacency[start..end]
+    pub fn runs(&self, u: NodeId) -> impl Iterator<Item = Range<NodeId>> + '_ {
+        let (w, _, r) = self.dims();
+        let side = 2 * r + 1;
+        let (x, y) = (u % w, u / w);
+        let c0 = self.cols[x];
+        Runs {
+            rows: &self.rows[y..y + side],
+            base: 0,
+            pos: side,
+            r,
+            w,
+            c0,
+            seam: side.min(w - c0),
+        }
     }
 
-    /// One bitset row.
+    /// The (open) neighborhood of `u`, in exactly [`Grid::neighbors`]
+    /// order — the flattened [`Topology::runs`].
     #[inline]
-    fn row(&self, u: NodeId) -> &[u64] {
-        let base = u * self.words_per_row;
-        &self.bitset()[base..base + self.words_per_row]
+    pub fn neighbors_of(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.runs(u).flatten()
     }
 
-    /// Whether `v ∈ N(u)` — O(1) after the first membership query
-    /// builds the bitset; equivalent to [`Grid::are_neighbors`]
-    /// (symmetric, false for `u == v`).
+    /// The `p`-th neighbor of `u` in [`Topology::neighbors_of`] order
+    /// (`p < degree`). Mirror symmetry of the stencil gives
+    /// `neighbor(neighbor(u, p), degree − 1 − p) == u`.
+    #[inline]
+    pub fn neighbor(&self, u: NodeId, p: usize) -> NodeId {
+        debug_assert!(p < self.degree());
+        let (w, _, r) = self.dims();
+        let side = 2 * r + 1;
+        // Stencil cell q in row-major order, skipping the centre cell.
+        let q = if p < self.degree() / 2 { p } else { p + 1 };
+        self.rows[u / w + q / side] + self.cols[u % w + q % side]
+    }
+
+    /// Whether `v ∈ N(u)`: toroidal L∞ distance at most `r` and
+    /// `u ≠ v`. Equivalent to [`Grid::are_neighbors`].
     #[inline]
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
         debug_assert!(u < self.node_count() && v < self.node_count());
-        self.bitset()[u * self.words_per_row + v / 64] >> (v % 64) & 1 == 1
+        let (w, h, r) = self.dims();
+        let near = |a: usize, b: usize, len: usize| a.abs_diff(b).min(len - a.abs_diff(b)) <= r;
+        u != v && near(u % w, v % w, w) && near(u / w, v / w, h)
     }
 
-    /// Appends `N(a) ∩ N(b)` to `out` (ascending id order) without
+    /// Appends `N(a) ∩ N(b)` to `out` in ascending id order, without
     /// allocating beyond `out`'s capacity — the fast path replacing
     /// [`Grid::common_neighbors`]. The intersection never includes `a`
     /// or `b` themselves, matching the naive method.
     pub fn common_neighbors_into(&self, a: NodeId, b: NodeId, out: &mut Vec<NodeId>) {
-        let ra = self.row(a);
-        let rb = self.row(b);
-        for (w, (&wa, &wb)) in ra.iter().zip(rb).enumerate() {
-            let mut word = wa & wb;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                out.push(w * 64 + bit);
-                word &= word - 1;
+        let (w, h, r) = self.dims();
+        let cols = axis_overlap(a % w, b % w, r, w);
+        for y in axis_overlap(a / w, b / w, r, h).into_iter().flatten() {
+            for xs in &cols {
+                let run = y * w + xs.start..y * w + xs.end;
+                out.extend(run.filter(|&v| v != a && v != b));
             }
         }
     }
 
-    /// `|N(a) ∩ N(b)|` by word-AND popcount — the receivers a collision
-    /// between transmitters `a` and `b` corrupts.
-    #[inline]
+    /// `|N(a) ∩ N(b)|` — the receivers a collision between
+    /// transmitters `a` and `b` corrupts.
     pub fn common_neighbor_count(&self, a: NodeId, b: NodeId) -> usize {
-        self.row(a)
-            .iter()
-            .zip(self.row(b))
-            .map(|(&wa, &wb)| (wa & wb).count_ones() as usize)
-            .sum()
+        let (w, h, r) = self.dims();
+        let len =
+            |meets: [Range<usize>; 4]| meets.iter().map(ExactSizeIterator::len).sum::<usize>();
+        let area = len(axis_overlap(a % w, b % w, r, w)) * len(axis_overlap(a / w, b / w, r, h));
+        // The closed windows' product N[a] ∩ N[b] holds a and b exactly
+        // when they are within range of each other (or equal).
+        area - usize::from(a == b) - 2 * usize::from(self.contains(a, b))
     }
 }
 
@@ -243,37 +241,46 @@ mod tests {
 
     #[test]
     fn neighbors_match_grid_exactly() {
-        for (w, h, r) in [(5, 5, 1), (9, 7, 2), (15, 15, 1), (12, 20, 2)] {
+        for (w, h, r) in [(5, 5, 1), (9, 7, 2), (15, 15, 1), (12, 20, 2), (5, 5, 2)] {
             let t = topo(w, h, r);
             for u in t.grid().nodes() {
                 let naive: Vec<NodeId> = t.grid().neighbors(u).collect();
-                assert_eq!(t.neighbors_of(u), naive.as_slice(), "node {u}");
+                let fast: Vec<NodeId> = t.neighbors_of(u).collect();
+                assert_eq!(fast, naive, "node {u}");
+                for (p, &v) in naive.iter().enumerate() {
+                    assert_eq!(t.neighbor(u, p), v, "node {u} position {p}");
+                }
             }
         }
     }
 
     #[test]
-    fn offsets_reflect_fixed_degree() {
+    fn runs_are_maximal_within_a_row() {
         let t = topo(10, 8, 2);
-        assert_eq!(t.degree(), 24);
-        assert_eq!(t.offsets().len(), t.node_count() + 1);
-        for u in 0..t.node_count() {
-            assert_eq!(t.offsets()[u] as usize, u * t.degree());
-            assert_eq!(t.neighbors_of(u).len(), t.degree());
+        // Away from both seams: one run per row, two on the centre row.
+        let u = t.grid().id_at(5, 4);
+        assert_eq!(t.runs(u).count(), 4 + 2);
+        // On the column seam every row splits, the centre row in three.
+        let u = t.grid().id_at(1, 4);
+        assert_eq!(t.runs(u).count(), 4 * 2 + 3);
+        for u in t.grid().nodes() {
+            assert!(t.runs(u).all(|run| !run.is_empty()));
+            assert_eq!(t.runs(u).map(|run| run.len()).sum::<usize>(), t.degree());
         }
-        assert_eq!(t.adjacency().len(), t.node_count() * t.degree());
     }
 
     #[test]
     fn contains_matches_are_neighbors() {
-        let t = topo(9, 11, 2);
-        for u in t.grid().nodes() {
-            for v in t.grid().nodes() {
-                assert_eq!(
-                    t.contains(u, v),
-                    t.grid().are_neighbors(u, v),
-                    "pair ({u}, {v})"
-                );
+        for (w, h, r) in [(9, 11, 2), (5, 7, 2), (3, 4, 1)] {
+            let t = topo(w, h, r);
+            for u in t.grid().nodes() {
+                for v in t.grid().nodes() {
+                    assert_eq!(
+                        t.contains(u, v),
+                        t.grid().are_neighbors(u, v),
+                        "pair ({u}, {v})"
+                    );
+                }
             }
         }
     }

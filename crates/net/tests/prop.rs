@@ -11,6 +11,74 @@ fn arb_grid() -> impl Strategy<Value = Grid> {
     })
 }
 
+/// Any valid torus, sides of every residue mod `2r+1` down to exactly
+/// `2r+1`, where a window wraps onto both seams and the per-axis
+/// overlap of two windows splits into two arcs. (`arb_grid` keeps
+/// divisible sides for `Schedule::spatial_reuse`.)
+fn arb_any_grid() -> impl Strategy<Value = Grid> {
+    (1u32..4, 0u32..1000, 0u32..1000).prop_map(|(r, wx, hx)| {
+        let side = 2 * r + 1;
+        let span = 4 * r + 3; // sides in [2r+1, 6r+3]
+        Grid::new(side + wx % span, side + hx % span, r).expect("valid grid")
+    })
+}
+
+/// `Topology` against the naive `Grid` methods on one torus: same
+/// neighborhoods in the same order, runs that flatten to them, the
+/// edge mirror identity, membership and common neighbors.
+fn check_topology(grid: &Grid, seed: u64) -> Result<(), TestCaseError> {
+    let topo = Topology::new(grid.clone());
+    let n = grid.node_count();
+    let deg = grid.neighborhood_size();
+    prop_assert_eq!(topo.node_count(), n);
+    prop_assert_eq!(topo.degree(), deg);
+
+    // neighbors_of == runs flattened == Grid::neighbors, same order,
+    // for every node; neighbor(u, p) indexes it; edges mirror.
+    for u in grid.nodes() {
+        let naive: Vec<usize> = grid.neighbors(u).collect();
+        let fast: Vec<usize> = topo.neighbors_of(u).collect();
+        prop_assert_eq!(&fast, &naive, "node {}", u);
+        let flat: Vec<usize> = topo.runs(u).flatten().collect();
+        prop_assert_eq!(&flat, &naive, "runs of node {}", u);
+        prop_assert!(topo.runs(u).all(|run| !run.is_empty()));
+        for (p, &v) in naive.iter().enumerate() {
+            prop_assert_eq!(topo.neighbor(u, p), v, "node {} position {}", u, p);
+            prop_assert_eq!(topo.neighbor(v, deg - 1 - p), u, "mirror of {} -> {}", u, v);
+        }
+    }
+
+    // contains == are_neighbors on a random pair and all its
+    // neighbors (full n x n is covered by the per-node loop above
+    // plus symmetry of the construction).
+    let a = (seed % n as u64) as usize;
+    let b = ((seed / 13) % n as u64) as usize;
+    prop_assert_eq!(topo.contains(a, b), grid.are_neighbors(a, b));
+    prop_assert_eq!(topo.contains(b, a), grid.are_neighbors(b, a));
+    for v in grid.nodes() {
+        prop_assert_eq!(
+            topo.contains(a, v),
+            grid.are_neighbors(a, v),
+            "pair ({}, {})",
+            a,
+            v
+        );
+    }
+
+    // common_neighbors_into == common_neighbors as a set (the window
+    // overlap yields ascending ids; the naive filter follows
+    // iteration order), for the random pair and a neighbor of a.
+    for b in [b, topo.neighbor(a, (seed % deg as u64) as usize)] {
+        let mut fast = Vec::new();
+        topo.common_neighbors_into(a, b, &mut fast);
+        let mut naive = grid.common_neighbors(a, b);
+        naive.sort_unstable();
+        prop_assert_eq!(&fast, &naive, "pair ({}, {})", a, b);
+        prop_assert_eq!(topo.common_neighbor_count(a, b), naive.len());
+    }
+    Ok(())
+}
+
 proptest! {
     /// The toroidal L∞ distance is a metric.
     #[test]
@@ -65,42 +133,18 @@ proptest! {
         }
     }
 
-    /// The precomputed [`Topology`] agrees *exactly* with the naive
-    /// [`Grid`] methods it replaces in the engine hot loops — the
-    /// naive iterators stay authoritative as this oracle.
+    /// [`Topology`] agrees *exactly* with the naive [`Grid`] methods
+    /// it replaces in the engine hot loops — the naive iterators stay
+    /// authoritative as this oracle — on divisible tori and on tori of
+    /// any side down to `2r+1`.
     #[test]
-    fn topology_matches_grid_oracle(grid in arb_grid(), seed in any::<u64>()) {
-        let topo = Topology::new(grid.clone());
-        let n = grid.node_count();
-        prop_assert_eq!(topo.node_count(), n);
-        prop_assert_eq!(topo.degree(), grid.neighborhood_size());
-
-        // neighbors_of == Grid::neighbors, same order, for every node.
-        for u in grid.nodes() {
-            let naive: Vec<usize> = grid.neighbors(u).collect();
-            prop_assert_eq!(topo.neighbors_of(u), naive.as_slice(), "node {}", u);
-        }
-
-        // contains == are_neighbors on a random pair and all its
-        // neighbors (full n x n is covered by the per-node loop above
-        // plus symmetry of the construction).
-        let a = (seed % n as u64) as usize;
-        let b = ((seed / 13) % n as u64) as usize;
-        prop_assert_eq!(topo.contains(a, b), grid.are_neighbors(a, b));
-        prop_assert_eq!(topo.contains(b, a), grid.are_neighbors(b, a));
-        for v in grid.nodes() {
-            prop_assert_eq!(topo.contains(a, v), grid.are_neighbors(a, v), "pair ({}, {})", a, v);
-        }
-
-        // common_neighbors_into == common_neighbors as a set (the
-        // bitset walk yields ascending ids; the naive filter follows
-        // iteration order).
-        let mut fast = Vec::new();
-        topo.common_neighbors_into(a, b, &mut fast);
-        let mut naive = grid.common_neighbors(a, b);
-        naive.sort_unstable();
-        prop_assert_eq!(&fast, &naive, "pair ({}, {})", a, b);
-        prop_assert_eq!(topo.common_neighbor_count(a, b), naive.len());
+    fn topology_matches_grid_oracle(
+        grid in arb_grid(),
+        any_grid in arb_any_grid(),
+        seed in any::<u64>(),
+    ) {
+        check_topology(&grid, seed)?;
+        check_topology(&any_grid, seed)?;
     }
 
     /// The spatial-reuse schedule never lets same-slot transmitters share

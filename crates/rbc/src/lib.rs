@@ -3,8 +3,9 @@
 //! erasure-coded CTRBC, and a single-value flood baseline.
 //!
 //! The paper's engines count copies; this crate counts *messages*.
-//! [`sim::RbcSim`] gives every directed edge of the CSR
-//! [`bftbcast_net::Topology`] a FIFO queue, delivers one wave at a time
+//! [`sim::RbcSim`] gives every directed edge of the torus a FIFO queue
+//! — edge ids and their reverses are arithmetic on the
+//! [`bftbcast_net::Topology`] stencil — delivers one wave at a time
 //! under a pluggable [`schedule::DeliverySchedule`], and floods
 //! protocol messages with per-id relay dedup so fully-connected
 //! broadcast protocols run unchanged on an r-neighborhood torus.

@@ -1,7 +1,7 @@
 //! The message-passing runtime and the three protocols it hosts.
 //!
-//! [`RbcSim`] is an explicit message-level simulator over the CSR
-//! [`Topology`]: every directed edge has a FIFO queue, a **wave**
+//! [`RbcSim`] is an explicit message-level simulator over the
+//! [`Topology`] stencil: every directed edge has a FIFO queue, a **wave**
 //! delivers everything queued at wave start, and sends made while
 //! handling a message are queued for the next wave. Messages are
 //! flooded — every node relays each distinct message id once to all
@@ -254,12 +254,10 @@ pub struct RbcSim {
     split: NodeId,
     /// Message-id slots per variant (variant 1 ids live one stride up).
     id_stride: usize,
-    /// For out-edge `e` of `u`, the receiver-side queue index at the
-    /// neighbor (symmetric adjacency).
-    rev: Vec<usize>,
-    /// Per receiver-side edge: messages deliverable this wave.
+    /// Per directed edge: messages deliverable this wave. Edge
+    /// `u·degree + p` holds what `u` sent to its `p`-th neighbor.
     cur: Vec<VecDeque<Msg>>,
-    /// Per receiver-side edge: messages queued for the next wave.
+    /// Per directed edge: messages queued for the next wave.
     nxt: Vec<VecDeque<Msg>>,
     /// Messages currently queued in `nxt`.
     pending: u64,
@@ -315,19 +313,7 @@ impl RbcSim {
             }
             _ => None,
         };
-        let mut rev = vec![0usize; topo.adjacency().len()];
-        for u in 0..n {
-            let off = topo.offsets()[u] as usize;
-            for (p, &w) in topo.neighbors_of(u).iter().enumerate() {
-                let pos = topo
-                    .neighbors_of(w)
-                    .iter()
-                    .position(|&x| x == u)
-                    .expect("torus adjacency is symmetric");
-                rev[off + p] = topo.offsets()[w] as usize + pos;
-            }
-        }
-        let edges = topo.adjacency().len();
+        let edges = n * topo.degree();
         let id_stride = 1 + 3 * n;
         let id_words = (2 * id_stride).div_ceil(64);
         let node_words = n.div_ceil(64);
@@ -342,7 +328,6 @@ impl RbcSim {
             schedule: cfg.schedule.build(n, cfg.seed),
             split: n / 2,
             id_stride,
-            rev,
             cur: vec![VecDeque::new(); edges],
             nxt: vec![VecDeque::new(); edges],
             pending: 0,
@@ -465,8 +450,7 @@ impl RbcSim {
     pub fn delivered_neighbors(&self, u: NodeId) -> usize {
         self.topo
             .neighbors_of(u)
-            .iter()
-            .filter(|&&w| self.nodes[w].delivered.is_some())
+            .filter(|&w| self.nodes[w].delivered.is_some())
             .count()
     }
 
@@ -618,11 +602,13 @@ impl RbcSim {
         let defers = self.schedule.defers();
         let ranks = self.schedule.ranks();
         let mut batch = std::mem::take(&mut self.batch);
+        let deg = self.topo.degree();
         for &u in &order {
-            let off = self.topo.offsets()[u] as usize;
-            let deg = self.topo.neighbors_of(u).len();
             batch.clear();
-            for e in off..off + deg {
+            for (p, v) in self.topo.neighbors_of(u).enumerate() {
+                // v's edge to u: by the stencil's mirror symmetry, u is
+                // v's neighbor degree − 1 − p.
+                let e = v * deg + (deg - 1 - p);
                 while let Some(msg) = self.cur[e].pop_front() {
                     // The bounded-asynchrony contract: a schedule may
                     // hold a message at most MAX_DEFER_WAVES extra
@@ -764,21 +750,20 @@ impl RbcSim {
             born: self.waves,
             ..msg
         };
-        let off = self.topo.offsets()[u] as usize;
-        let deg = self.topo.neighbors_of(u).len();
+        let deg = self.topo.degree();
+        let off = u * deg;
         if self.bad[u] && self.cfg.behavior == ByzantineBehavior::SelectiveSend {
-            for e in off..off + deg {
-                let w = self.topo.adjacency()[e];
+            for (p, w) in self.topo.neighbors_of(u).enumerate() {
                 if w >= self.split {
                     continue;
                 }
-                self.nxt[self.rev[e]].push_back(msg);
+                self.nxt[off + p].push_back(msg);
                 self.pending += 1;
             }
             return;
         }
         for e in off..off + deg {
-            self.nxt[self.rev[e]].push_back(msg);
+            self.nxt[e].push_back(msg);
         }
         self.pending += deg as u64;
     }
@@ -787,12 +772,10 @@ impl RbcSim {
     /// get `b`. All equivocators coordinate on the same split.
     fn broadcast_split(&mut self, u: NodeId, a: Msg, b: Msg) {
         let born = self.waves;
-        let off = self.topo.offsets()[u] as usize;
-        let deg = self.topo.neighbors_of(u).len();
-        for e in off..off + deg {
-            let w = self.topo.adjacency()[e];
+        let off = u * self.topo.degree();
+        for (p, w) in self.topo.neighbors_of(u).enumerate() {
             let msg = if w < self.split { a } else { b };
-            self.nxt[self.rev[e]].push_back(Msg { born, ..msg });
+            self.nxt[off + p].push_back(Msg { born, ..msg });
             self.pending += 1;
         }
     }

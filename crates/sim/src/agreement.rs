@@ -203,7 +203,7 @@ impl AgreementSim {
     /// duplicated, or if the bad count exceeds the configured `t`.
     pub fn new(grid: Grid, cfg: AgreementConfig, source: NodeId, bad: &[NodeId]) -> Self {
         let topology = Topology::new(grid);
-        let members: Vec<NodeId> = topology.neighbors_of(source).to_vec();
+        let members: Vec<NodeId> = topology.neighbors_of(source).collect();
         let mut is_bad = vec![false; topology.node_count()];
         for &b in bad {
             assert!(
@@ -225,7 +225,7 @@ impl AgreementSim {
         );
         let mut capacity = vec![0u64; topology.node_count()];
         for &b in bad {
-            for &u in topology.neighbors_of(b) {
+            for u in topology.neighbors_of(b) {
                 if !is_bad[u] {
                     capacity[u] += cfg.params.mf;
                 }

@@ -56,8 +56,8 @@ use crate::metrics::CountingOutcome;
 /// The counting engine. Construct with [`CountingSim::new`], run with
 /// [`CountingSim::run`], then inspect per-node state.
 ///
-/// All per-wave neighborhood queries route through a precomputed
-/// [`Topology`] (CSR slices + bitset intersection); the naive [`Grid`]
+/// All per-wave neighborhood queries route through the [`Topology`]
+/// stencil (id runs + window intersection); the naive [`Grid`]
 /// iterator never runs inside the wave loop.
 #[derive(Debug, Clone)]
 pub struct CountingSim {
@@ -161,8 +161,8 @@ impl CountingSim {
     ///
     /// The wave loop is allocation-free at steady state: wave vectors
     /// are double-buffered, the strategy view's per-node slices are
-    /// reused buffers, and deliveries walk [`Topology`] CSR slices with
-    /// bitset-intersection corruption.
+    /// reused buffers, and deliveries walk [`Topology`] neighborhoods
+    /// with window-intersection corruption.
     pub fn run<S: CorruptionStrategy>(&mut self, strategy: &mut S) -> CountingOutcome {
         let mut run = self.begin_attack();
         while self.step_attack(&mut run, strategy) {}
@@ -310,7 +310,7 @@ impl CountingSim {
         // per-pair budget.
         let mut capacity = vec![0u64; n];
         for &b in &self.bad_nodes {
-            for &u in self.topology.neighbors_of(b) {
+            for u in self.topology.neighbors_of(b) {
                 if self.is_good[u] {
                     capacity[u] += mf;
                 }
@@ -339,7 +339,7 @@ impl CountingSim {
                 // Incoming correct copies this wave.
                 run.incoming.fill(0);
                 for &(s, copies) in &run.wave {
-                    for &u in self.topology.neighbors_of(s) {
+                    for u in self.topology.neighbors_of(s) {
                         if self.is_good[u] && self.accepted[u].is_none() {
                             run.incoming[u] += copies;
                         }
@@ -362,7 +362,7 @@ impl CountingSim {
                 // O(n) fill is needed.
                 run.touched.clear();
                 for &(s, copies) in &run.wave {
-                    for &u in self.topology.neighbors_of(s) {
+                    for u in self.topology.neighbors_of(s) {
                         if self.undecided(u) {
                             if run.touched.insert(u) {
                                 run.incoming[u] = 0;
@@ -436,7 +436,7 @@ impl CountingSim {
         let n = self.topology.node_count();
         let mut capacity = vec![0u64; n];
         for &b in &self.bad_nodes {
-            for &u in self.topology.neighbors_of(b) {
+            for u in self.topology.neighbors_of(b) {
                 if self.is_good[u] {
                     capacity[u] += mf;
                 }
@@ -464,7 +464,7 @@ impl CountingSim {
             ScanMode::Dense => {
                 run.incoming.fill(0);
                 for &(s, copies) in &run.wave {
-                    for &u in self.topology.neighbors_of(s) {
+                    for u in self.topology.neighbors_of(s) {
                         if self.is_good[u] && self.accepted[u].is_none() {
                             run.incoming[u] += copies;
                         }
@@ -485,7 +485,7 @@ impl CountingSim {
             ScanMode::Frontier => {
                 run.touched.clear();
                 for &(s, copies) in &run.wave {
-                    for &u in self.topology.neighbors_of(s) {
+                    for u in self.topology.neighbors_of(s) {
                         if self.undecided(u) {
                             if run.touched.insert(u) {
                                 run.incoming[u] = 0;
@@ -622,11 +622,11 @@ impl CountingSim {
     /// Deliveries first credit every undecided receiver in `N(sender)`
     /// with the full transmission, then each collision moves its copies
     /// from correct to corrupted at exactly `N(attacker) ∩ N(sender)` —
-    /// computed by bitset word-AND instead of an `are_neighbors` filter
-    /// per (receiver, attack) pair.
+    /// computed by intersecting the two stencil windows instead of an
+    /// `are_neighbors` filter per (receiver, attack) pair.
     fn apply_wave(&mut self, wave: &[(NodeId, u64)], plan: &AttackPlan, common: &mut Vec<NodeId>) {
         for &(sender, copies) in wave {
-            for &u in self.topology.neighbors_of(sender) {
+            for u in self.topology.neighbors_of(sender) {
                 if self.is_good[u] && self.accepted[u].is_none() {
                     self.tally_true[u] += copies;
                 }
@@ -646,7 +646,7 @@ impl CountingSim {
             }
         }
         for f in &plan.forgeries {
-            for &u in self.topology.neighbors_of(f.attacker) {
+            for u in self.topology.neighbors_of(f.attacker) {
                 if self.is_good[u] && self.accepted[u].is_none() {
                     self.tally_wrong[u] += f.copies;
                 }
@@ -783,8 +783,7 @@ impl CountingSim {
     pub fn decided_neighbors(&self, u: NodeId) -> usize {
         self.topology
             .neighbors_of(u)
-            .iter()
-            .filter(|&&v| self.accepted[v] == Some(Value::TRUE))
+            .filter(|&v| self.accepted[v] == Some(Value::TRUE))
             .count()
     }
 
@@ -793,8 +792,7 @@ impl CountingSim {
     pub fn decided_good_neighbors(&self, u: NodeId) -> usize {
         self.topology
             .neighbors_of(u)
-            .iter()
-            .filter(|&&v| self.is_good[v] && self.accepted[v] == Some(Value::TRUE))
+            .filter(|&v| self.is_good[v] && self.accepted[v] == Some(Value::TRUE))
             .count()
     }
 

@@ -238,7 +238,7 @@ impl HybridSim {
         if mf > 0 {
             for b in 0..n {
                 if self.byzantine[b] {
-                    for &u in self.topology.neighbors_of(b) {
+                    for u in self.topology.neighbors_of(b) {
                         if self.is_honest_receiver(u) {
                             capacity[u] += mf;
                         }
@@ -280,7 +280,7 @@ impl HybridSim {
             ScanMode::Dense => {
                 run.incoming.fill(0);
                 for &(s, copies) in &run.wave {
-                    for &u in self.topology.neighbors_of(s) {
+                    for u in self.topology.neighbors_of(s) {
                         if self.is_honest_receiver(u) && self.accepted[u].is_none() {
                             run.incoming[u] += copies;
                         }
@@ -305,7 +305,7 @@ impl HybridSim {
                 // dense 0..n scan restricted to the touched set.
                 run.touched.clear();
                 for &(s, copies) in &run.wave {
-                    for &u in self.topology.neighbors_of(s) {
+                    for u in self.topology.neighbors_of(s) {
                         if self.is_honest_receiver(u) && self.accepted[u].is_none() {
                             if run.touched.insert(u) {
                                 run.incoming[u] = 0;
@@ -435,8 +435,7 @@ impl HybridSim {
     pub fn decided_neighbors(&self, u: NodeId) -> usize {
         self.topology
             .neighbors_of(u)
-            .iter()
-            .filter(|&&v| self.accepted[v] == Some(Value::TRUE))
+            .filter(|&v| self.accepted[v] == Some(Value::TRUE))
             .count()
     }
 }

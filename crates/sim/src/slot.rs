@@ -561,11 +561,11 @@ impl SlotSim {
             } else {
                 None
             };
-            // Index-based walk over the CSR row: the slice borrow is
-            // re-taken per iteration so `self` stays free for the
-            // mutations below (no per-transmission Vec of receivers).
-            for i in 0..self.topology.degree() {
-                let u = self.topology.neighbors_of(tx.sender)[i];
+            // Index-based walk over the stencil, so `self` stays free
+            // for the mutations below (no per-transmission Vec of
+            // receivers).
+            for p in 0..self.topology.degree() {
+                let u = self.topology.neighbor(tx.sender, p);
                 if !self.is_good[u] {
                     continue;
                 }
@@ -689,8 +689,7 @@ impl SlotSim {
     pub fn committed_neighbors(&self, u: NodeId) -> usize {
         self.topology
             .neighbors_of(u)
-            .iter()
-            .filter(|&&v| self.committed(v) == Some(Value::TRUE))
+            .filter(|&v| self.committed(v) == Some(Value::TRUE))
             .count()
     }
 

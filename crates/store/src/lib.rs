@@ -18,7 +18,8 @@
 //!   fields by name, so any two ways of describing the same
 //!   configuration hash identically, in every process, forever.
 //! * [`log`] — the [`Store`]: an append-only on-disk log
-//!   (`<dir>/store.log`) replayed into an in-memory index at open,
+//!   (`<dir>/store.log`) replayed into an in-memory index at open
+//!   (values appended later are read back from the log on lookup),
 //!   with write-once dedupe, hit/miss [`StoreStats`], and a
 //!   single-flight [`Store::get_or_compute`] so concurrent requests
 //!   for the same key compute it exactly once.

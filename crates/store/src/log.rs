@@ -25,7 +25,11 @@
 //!
 //! # Recovery
 //!
-//! At open the log is replayed into a `HashMap`. A record that fails
+//! At open the log is replayed into a `HashMap`. Values appended after
+//! open are not kept in memory: the index remembers where each landed
+//! in the log and reads it back (and re-verifies it) on lookup, so a
+//! long-running server's memory does not grow with the points it
+//! computes. A record that fails
 //! its checksum is **quarantined**: it is left out of the index and the
 //! scanner resynchronizes at the next verifiable record, so one
 //! corrupted record never takes down the records after it. Unparseable
@@ -54,7 +58,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -251,8 +255,19 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
+/// Where an indexed value lives.
+enum Slot {
+    /// In memory: values replayed at open, every value of an in-memory
+    /// store, and values whose log copy failed to append or was
+    /// corrupted by an injected bit flip.
+    Mem(Vec<u8>),
+    /// The record this process appended at file offset `at`, read back
+    /// and re-verified on every lookup.
+    Log { at: u64, len: u32 },
+}
+
 struct Inner {
-    index: HashMap<u64, Vec<u8>>,
+    index: HashMap<u64, Slot>,
     /// Keys currently being computed by some thread (single-flight).
     inflight: HashSet<u64>,
     /// Append handle; `None` for in-memory stores.
@@ -369,7 +384,7 @@ impl Store {
                 scan.spans.iter().map(|s| s.1).sum::<u64>() - scan.tail_bytes();
             good_end = scan.len - scan.tail_bytes();
             for (key, payload) in scan.records {
-                index.insert(key, payload);
+                index.insert(key, Slot::Mem(payload));
             }
         }
         // O_APPEND: every record lands at the file's *current* end, so
@@ -447,11 +462,11 @@ impl Store {
 
     /// Looks a key up, counting a hit or miss.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        let g = self.inner.lock().expect("store lock");
-        match g.index.get(&key) {
+        let mut g = self.inner.lock().expect("store lock");
+        match g.lookup(key) {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v.clone())
+                Some(v)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -503,9 +518,9 @@ impl Store {
     ) -> Result<(Vec<u8>, bool), E> {
         let mut g = self.inner.lock().expect("store lock");
         loop {
-            if let Some(v) = g.index.get(&key) {
+            if let Some(v) = g.lookup(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((v.clone(), true));
+                return Ok((v, true));
             }
             if g.inflight.insert(key) {
                 break; // we are the computing leader for this key
@@ -526,7 +541,7 @@ impl Store {
                 if !g.index.contains_key(&key) && append_record(&mut g, key, &value).is_err() {
                     // A failed append keeps the entry memory-only; the
                     // value itself is still good.
-                    g.index.insert(key, value.clone());
+                    g.index.insert(key, Slot::Mem(value.clone()));
                 }
                 Ok((value, false))
             }
@@ -586,6 +601,7 @@ impl Drop for InflightGuard<'_> {
 /// bit flip corrupts the disk bytes but keeps the good value in memory,
 /// and a no-space fault errors before touching the file.
 fn append_record(g: &mut Inner, key: u64, value: &[u8]) -> io::Result<()> {
+    let mut slot = None;
     if let Some(file) = g.file.as_mut() {
         let mut rec = encode_record(key, value);
         let fault = g
@@ -611,11 +627,41 @@ fn append_record(g: &mut Inner, key: u64, value: &[u8]) -> io::Result<()> {
             WriteFault::None => {
                 file.write_all(&rec)?;
                 file.flush()?;
+                // An O_APPEND write leaves this handle's offset at the
+                // end of its own record, even if another process
+                // appended since.
+                let at = file.stream_position()? - rec.len() as u64;
+                let len = value.len() as u32;
+                slot = Some(Slot::Log { at, len });
             }
         }
     }
-    g.index.insert(key, value.to_vec());
+    let slot = slot.unwrap_or_else(|| Slot::Mem(value.to_vec()));
+    g.index.insert(key, slot);
     Ok(())
+}
+
+impl Inner {
+    /// The value under `key`. A log record that no longer verifies
+    /// (damaged on disk since it was appended) drops its entry and
+    /// reads as absent, so the caller recomputes it.
+    fn lookup(&mut self, key: u64) -> Option<Vec<u8>> {
+        let (at, len) = match self.index.get(&key)? {
+            Slot::Mem(v) => return Some(v.clone()),
+            Slot::Log { at, len } => (*at, *len as usize),
+        };
+        let (file, mut rec) = (self.file.as_mut()?, vec![0; HEADER_LEN + len]);
+        let read = file
+            .seek(SeekFrom::Start(at))
+            .and_then(|_| file.read_exact(&mut rec));
+        match (read, parse_at(&rec, 0)) {
+            (Ok(()), Some((k, payload, _))) if k == key => Some(payload.to_vec()),
+            _ => {
+                self.index.remove(&key);
+                None
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -659,6 +705,34 @@ mod tests {
             // Fresh instance: counters start at zero.
             assert_eq!(s.stats().hits, 1);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Values appended after open are read back from the log, so a
+    /// record damaged on disk while the store is open reads as absent
+    /// and is recomputed — never served corrupt — while its neighbours
+    /// still read fine.
+    #[test]
+    fn appended_values_read_back_from_the_log_and_reverify() {
+        let dir = temp_dir("readback");
+        let s = Store::open(&dir).unwrap();
+        for k in 0..3u64 {
+            s.put(k, format!("value-{k}").as_bytes()).unwrap();
+        }
+        let path = dir.join(LOG_NAME);
+        let mut raw = std::fs::read(&path).unwrap();
+        let second = MAGIC.len() + (HEADER_LEN + 7) + HEADER_LEN;
+        raw[second] ^= 0x40; // a payload byte of key 1
+        std::fs::write(&path, &raw).unwrap();
+        assert_eq!(s.get(0).as_deref(), Some(&b"value-0"[..]));
+        assert_eq!(s.get(1), None, "damaged record is not served");
+        let (v, hit) = s
+            .get_or_compute(1, || Ok::<_, ()>(b"value-1".to_vec()))
+            .unwrap();
+        assert_eq!((v.as_slice(), hit), (&b"value-1"[..], false));
+        assert_eq!(s.get(1).as_deref(), Some(&b"value-1"[..]));
+        assert_eq!(s.get(2).as_deref(), Some(&b"value-2"[..]));
+        drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

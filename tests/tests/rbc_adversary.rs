@@ -82,7 +82,7 @@ fn good_subgraph_connected(sim: &RbcSim, n: usize) -> bool {
     seen[0] = true;
     let mut reached = 1;
     while let Some(u) = queue.pop() {
-        for &w in sim.topology().neighbors_of(u) {
+        for w in sim.topology().neighbors_of(u) {
             if !seen[w] && sim.is_good(w) {
                 seen[w] = true;
                 reached += 1;

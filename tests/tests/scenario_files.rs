@@ -274,3 +274,76 @@ fn jsonl_stream_shape() {
         assert!(line.ends_with("}"), "{line}");
     }
 }
+
+/// A lattice placement needs torus sides divisible by `2r+1` and at
+/// most `(2r+1)²` residue classes from its offset. Every entry path
+/// rejects a misfit with a `ScenarioError` naming the placement,
+/// never a panic inside the placement: parsing (what `validate` runs),
+/// running a point, a `--set` override, the scenario builder and the
+/// spec builder.
+#[test]
+fn lattice_misfits_are_placement_errors_not_panics() {
+    let scn = |side: u32| {
+        format!(
+            "name = \"lattice\"\nengine = \"counting\"\n\
+             [topology]\nside = {side}\nr = 1\n\
+             [faults]\nt = 1\nmf = 4\n\
+             [placement]\nkind = \"lattice\"\n\
+             [protocol]\nkind = \"starved\"\nm = 3\n"
+        )
+    };
+    let names_placement = |err: ScenarioError| {
+        let text = err.to_string();
+        assert!(
+            matches!(&err, ScenarioError::Invalid { what, .. } if what.starts_with("placement")),
+            "{text}"
+        );
+        assert!(text.contains("placement"), "{text}");
+    };
+
+    // validate: side 16 is not a multiple of 2r+1 = 3.
+    names_placement(ScenarioFile::parse(&scn(16)).unwrap_err());
+
+    // run: a hand-built point on side 16 errors at engine build.
+    let file = ScenarioFile::parse(&scn(15)).expect("side 15 fits the lattice");
+    assert!(run_file(&file).is_ok());
+    let mut point = file.points().remove(0);
+    point.width = 16;
+    point.height = 16;
+    match bftbcast::batch::run_point(&file, &point) {
+        Err(e) => names_placement(e),
+        Ok(_) => panic!("side-16 lattice point must be rejected"),
+    }
+
+    // run --set t=9: offset 1 + t = 10 classes exceed (2r+1)^2 = 9.
+    let mut file = file;
+    names_placement(
+        file.override_base("t", bftbcast::scenario_file::AxisValue::Int(9))
+            .unwrap_err(),
+    );
+
+    // The programmatic builder (the CLI's flag form) errors too.
+    names_placement(
+        Scenario::builder(16, 16, 1)
+            .faults(1, 4)
+            .lattice_placement()
+            .build()
+            .unwrap_err(),
+    );
+
+    // EngineSpec::finish, both misfits.
+    names_placement(
+        bftbcast::EngineSpec::counting(16, 16, 1)
+            .faults(1, 4)
+            .lattice()
+            .finish()
+            .unwrap_err(),
+    );
+    names_placement(
+        bftbcast::EngineSpec::counting(15, 15, 1)
+            .faults(1, 4)
+            .lattice_offset(9)
+            .finish()
+            .unwrap_err(),
+    );
+}

@@ -54,6 +54,16 @@ fn gen_spec(mut s: u64) -> EngineSpec {
     let height = 5 + pick(st, 26) as u32;
     let r = 1 + pick(st, 3) as u32;
     let t = 1 + pick(st, 2) as u32;
+    // A lattice placement tiles the torus with (2r+1)-squares and has
+    // (2r+1)^2 residue classes, so its sides round up to a multiple of
+    // 2r+1 and its offset leaves room for t classes.
+    let side = 2 * r + 1;
+    let placement_kind = pick(st, 6);
+    let (width, height) = if placement_kind == 1 {
+        (width.next_multiple_of(side), height.next_multiple_of(side))
+    } else {
+        (width, height)
+    };
     let names = [
         "spec",
         "f2",
@@ -77,10 +87,10 @@ fn gen_spec(mut s: u64) -> EngineSpec {
             pick(st, u64::from(height)) as u32,
         )
         .seed(next(st));
-    b = b.placement(match pick(st, 6) {
+    b = b.placement(match placement_kind {
         0 => PlacementSpec::None,
         1 => PlacementSpec::Lattice {
-            offset: pick(st, 100) as u32,
+            offset: pick(st, u64::from(side * side - t) + 1) as u32,
         },
         2 => PlacementSpec::Stripes(
             (0..1 + pick(st, 3))
