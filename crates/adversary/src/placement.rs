@@ -23,20 +23,22 @@ pub fn max_bad_per_neighborhood(grid: &Grid, bad: &[NodeId]) -> usize {
     // Every *distinct* bad node raises the count of the neighborhoods
     // containing it, i.e. N(u) for u in N(b): O(|bad| · deg) without
     // any precompute. Duplicate ids in `bad` count once.
-    let mut is_bad = vec![false; grid.node_count()];
-    let mut load = vec![0usize; grid.node_count()];
+    let n = grid.node_count();
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    let mut load = vec![0u32; n];
     let mut max = 0;
     for &b in bad {
-        if is_bad[b] {
+        let (word, bit) = (b / 64, 1u64 << (b % 64));
+        if seen[word] & bit != 0 {
             continue;
         }
-        is_bad[b] = true;
+        seen[word] |= bit;
         for u in grid.neighbors(b) {
             load[u] += 1;
             max = max.max(load[u]);
         }
     }
-    max
+    max as usize
 }
 
 /// Whether a placement respects the paper's local bound for a given `t`.
@@ -198,13 +200,17 @@ pub struct RandomPlacement {
 impl Placement for RandomPlacement {
     fn bad_nodes(&self, grid: &Grid) -> Vec<NodeId> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut candidates: Vec<NodeId> = grid.nodes().filter(|&v| v != self.source).collect();
+        // `u32` ids halve the shuffled array; the permutation is the same
+        // because the shuffle draws its swap indices from the length only.
+        let n = u32::try_from(grid.node_count()).expect("node ids fit in u32");
+        let mut candidates: Vec<u32> = (0..n).filter(|&v| v as NodeId != self.source).collect();
         candidates.shuffle(&mut rng);
         let topo = Topology::new(grid.clone());
         // neighborhood_load[u] = number of already-picked bad nodes in N(u).
         let mut load = vec![0u32; grid.node_count()];
         let mut out = Vec::new();
         for c in candidates {
+            let c = c as NodeId;
             if out.len() == self.count {
                 break;
             }
@@ -305,6 +311,40 @@ mod tests {
         assert!(respects_local_bound(&g, &a, 2));
         assert!(!a.contains(&g.id_at(0, 0)));
         assert!(!a.is_empty());
+    }
+
+    /// FNV-1a over the ids as little-endian `u64`s, length first.
+    fn placement_hash(bad: &[NodeId]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = std::iter::once(bad.len() as u64).chain(bad.iter().map(|&b| b as u64));
+        for byte in words.flat_map(u64::to_le_bytes) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Pins the exact random placement (shuffle order and greedy
+    /// acceptance) on the scale benchmark's torus and on a small one,
+    /// so a change to the candidate representation cannot move a single
+    /// bad cell.
+    #[test]
+    fn random_placement_is_pinned() {
+        let cases = [
+            (1024, 1, 10_486, 1, 3, 10_486, 0x88de_7e14_3ec2_40ce),
+            (15, 1, 20, 1, 7, 18, 0x11e0_7a5f_84a1_c7d4),
+        ];
+        for (side, r, count, t, seed, len, pin) in cases {
+            let g = Grid::new(side, side, r).unwrap();
+            let bad = RandomPlacement {
+                count,
+                t,
+                seed,
+                source: 0,
+            }
+            .bad_nodes(&g);
+            assert_eq!(bad.len(), len, "side {side}");
+            assert_eq!(placement_hash(&bad), pin, "side {side}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::sim::{RbcConfig, RbcSim};
 /// [`SimEngine`] over [`RbcSim`]; each step is one delivery wave.
 ///
 /// Like the slot engine, the simulator owns a seeded RNG, so `prepare`
-/// rebuilds it from the stored construction parameters instead of
-/// cloning a template.
+/// rebuilds it from the stored construction parameters (the counting
+/// and crash engines instead reset their one simulator in place).
 ///
 /// Probe mapping (the [`Probe`] struct is shared across engines):
 /// `tally_true` is echoes received (payload copies for the flood

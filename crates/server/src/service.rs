@@ -777,10 +777,10 @@ mod tests {
         };
         blocked_rx.recv().unwrap();
 
-        // job-0 runs (wedged inside the store); job-1 fills the queue.
+        // job-0 runs (wedged inside the store). Wait until it has
+        // actually been popped off the queue: with a cap of 1, job-1
+        // fills the queue only once job-0 no longer occupies it.
         let job0 = client::submit(&addr, MINI).unwrap();
-        let job1 = client::submit(&addr, MINI).unwrap();
-        // Wait until job-0 has actually been popped off the queue.
         loop {
             let status = client::status(&addr, &job0).unwrap();
             if status.contains("\"state\":\"running\"") {
@@ -788,6 +788,7 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
+        let job1 = client::submit(&addr, MINI).unwrap();
         let err = client::submit(&addr, MINI).unwrap_err();
         assert!(err.to_string().contains("queue full"), "{err}");
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "marked retryable");

@@ -48,7 +48,7 @@
 //! finding quantified in EXPERIMENTS.md (EXP-T1/EXP-F2).
 
 use bftbcast_adversary::{AttackPlan, CorruptionStrategy, WaveView};
-use bftbcast_net::{Budget, Grid, NodeId, ScanMode, Topology, Value, Worklist};
+use bftbcast_net::{Grid, NetError, NodeId, ScanMode, Topology, Value, Worklist};
 use bftbcast_protocols::CountingProtocol;
 
 use crate::metrics::CountingOutcome;
@@ -59,22 +59,36 @@ use crate::metrics::CountingOutcome;
 /// All per-wave neighborhood queries route through the [`Topology`]
 /// stencil (id runs + window intersection); the naive [`Grid`]
 /// iterator never runs inside the wave loop.
+///
+/// Resident per-node state is 29¼ bytes: `is_good` (1), `spent` (8),
+/// `accepted_wave` (4), the two tallies (16) and two bits for
+/// `undecided`/`forged`. The protocol's `relay_copies` and `budget`
+/// add 16 more. A run's own buffers ([`OracleRun`] and friends) come on
+/// top; [`CountingSim::reset`] refills the state in place for the next
+/// run without allocating.
 #[derive(Debug, Clone)]
 pub struct CountingSim {
     topology: Topology,
     protocol: CountingProtocol,
     scan: ScanMode,
     source: NodeId,
+    /// Budget of every bad node; good nodes take theirs from the
+    /// protocol, and the source is unbounded.
+    mf: u64,
     is_good: Vec<bool>,
     bad_nodes: Vec<NodeId>,
-    budgets: Vec<Budget>,
-    accepted: Vec<Option<Value>>,
-    /// Bitset mirror of `is_good[u] && accepted[u].is_none()` — the
-    /// frontier kernel's receiver filter. One cache-resident word read
-    /// (128 KiB per million nodes) instead of two scattered array
-    /// lookups; kept in sync at every acceptance.
+    /// Budget units each node has spent; the limit follows from its
+    /// role (see [`CountingSim::remaining_budget`]).
+    spent: Vec<u64>,
+    /// Bitset of good nodes that have not yet accepted a value — the
+    /// frontier kernel's receiver filter, and (with `forged`) the whole
+    /// acceptance state: a decided good node accepted `Vtrue` unless
+    /// its `forged` bit is set; bad nodes never accept.
     undecided: Vec<u64>,
-    accepted_wave: Vec<Option<usize>>,
+    /// Bitset of good nodes that accepted a forged value.
+    forged: Vec<u64>,
+    /// Wave of acceptance, [`NOT_ACCEPTED`] while undecided.
+    accepted_wave: Vec<u32>,
     tally_true: Vec<u64>,
     tally_wrong: Vec<u64>,
     waves: usize,
@@ -104,6 +118,7 @@ impl CountingSim {
             protocol.quotas_fit_budgets(),
             "protocol quota exceeds budget"
         );
+        assert!(u32::try_from(n).is_ok(), "node count exceeds u32");
         let mut is_good = vec![true; n];
         for &b in bad_nodes {
             assert!(b < n, "bad node out of range");
@@ -111,38 +126,18 @@ impl CountingSim {
             assert!(is_good[b], "duplicate bad node {b}");
             is_good[b] = false;
         }
-        let budgets = (0..n)
-            .map(|id| {
-                if id == source {
-                    Budget::unbounded()
-                } else if is_good[id] {
-                    Budget::limited(protocol.budget[id])
-                } else {
-                    Budget::limited(mf)
-                }
-            })
-            .collect();
-        let mut accepted = vec![None; n];
-        accepted[source] = Some(Value::TRUE);
-        let mut undecided = vec![0u64; n.div_ceil(64)];
-        for u in 0..n {
-            if is_good[u] && accepted[u].is_none() {
-                undecided[u / 64] |= 1 << (u % 64);
-            }
-        }
-        let mut accepted_wave = vec![None; n];
-        accepted_wave[source] = Some(0);
-        CountingSim {
+        let mut sim = CountingSim {
             topology: Topology::new(grid),
             protocol,
             scan: ScanMode::default(),
             source,
+            mf,
             is_good,
             bad_nodes: bad_nodes.to_vec(),
-            budgets,
-            accepted,
-            undecided,
-            accepted_wave,
+            spent: vec![0; n],
+            undecided: vec![0; n.div_ceil(64)],
+            forged: vec![0; n.div_ceil(64)],
+            accepted_wave: vec![NOT_ACCEPTED; n],
             tally_true: vec![0; n],
             tally_wrong: vec![0; n],
             waves: 0,
@@ -150,7 +145,39 @@ impl CountingSim {
             source_copies_sent: 0,
             adversary_spent: 0,
             wrong_accepts: 0,
+        };
+        sim.init_acceptance();
+        sim
+    }
+
+    /// Restores the state [`CountingSim::new`] built — no spending, no
+    /// acceptances but the source's, zero tallies and counters — so the
+    /// same engine can run again. Refills in place without allocating;
+    /// the configuration (protocol, bad set, scan mode) is kept.
+    pub fn reset(&mut self) {
+        self.spent.fill(0);
+        self.forged.fill(0);
+        self.accepted_wave.fill(NOT_ACCEPTED);
+        self.tally_true.fill(0);
+        self.tally_wrong.fill(0);
+        self.waves = 0;
+        self.good_copies_sent = 0;
+        self.source_copies_sent = 0;
+        self.adversary_spent = 0;
+        self.wrong_accepts = 0;
+        self.init_acceptance();
+    }
+
+    /// Every good node undecided except the source, which holds `Vtrue`
+    /// from wave 0.
+    fn init_acceptance(&mut self) {
+        self.undecided.fill(0);
+        for (u, &good) in self.is_good.iter().enumerate() {
+            if good && u != self.source {
+                self.undecided[u / 64] |= 1 << (u % 64);
+            }
         }
+        self.accepted_wave[self.source] = 0;
     }
 
     /// Runs the engine to fixpoint against the given strategy.
@@ -196,10 +223,8 @@ impl CountingSim {
             // frontier path keeps them fresh incrementally at the only
             // nodes whose budget/acceptance can change (plan attackers
             // and new acceptors).
-            remaining: (0..n).map(|u| self.budgets[u].remaining()).collect(),
-            accepted_true: (0..n)
-                .map(|u| self.accepted[u] == Some(Value::TRUE))
-                .collect(),
+            remaining: (0..n).map(|u| self.remaining_budget(u)).collect(),
+            accepted_true: (0..n).map(|u| self.accepted_true(u)).collect(),
             // Per-wave dense sender state, validity stamped by wave
             // number so no per-wave clearing is needed.
             sent: WaveStamped::new(n),
@@ -225,8 +250,8 @@ impl CountingSim {
             // Legacy: rebuild the dense strategy-view inputs from
             // scratch every wave.
             for u in 0..self.topology.node_count() {
-                run.remaining[u] = self.budgets[u].remaining();
-                run.accepted_true[u] = self.accepted[u] == Some(Value::TRUE);
+                run.remaining[u] = self.remaining_budget(u);
+                run.accepted_true[u] = self.accepted_true(u);
             }
         }
         let plan = {
@@ -247,10 +272,10 @@ impl CountingSim {
         if self.scan == ScanMode::Frontier {
             // The spend changed budgets only at the plan's attackers.
             for c in &plan.collisions {
-                run.remaining[c.attacker] = self.budgets[c.attacker].remaining();
+                run.remaining[c.attacker] = self.remaining_budget(c.attacker);
             }
             for f in &plan.forgeries {
-                run.remaining[f.attacker] = self.budgets[f.attacker].remaining();
+                run.remaining[f.attacker] = self.remaining_budget(f.attacker);
             }
         }
         self.apply_wave(&run.wave, &plan, &mut run.common);
@@ -278,7 +303,7 @@ impl CountingSim {
             // they flipped acceptance and spent their relay quota.
             for &(u, _) in &run.next {
                 run.accepted_true[u] = true;
-                run.remaining[u] = self.budgets[u].remaining();
+                run.remaining[u] = self.remaining_budget(u);
             }
         }
         std::mem::swap(&mut run.wave, &mut run.next);
@@ -340,7 +365,7 @@ impl CountingSim {
                 run.incoming.fill(0);
                 for &(s, copies) in &run.wave {
                     for u in self.topology.neighbors_of(s) {
-                        if self.is_good[u] && self.accepted[u].is_none() {
+                        if self.undecided(u) {
                             run.incoming[u] += copies;
                         }
                     }
@@ -465,7 +490,7 @@ impl CountingSim {
                 run.incoming.fill(0);
                 for &(s, copies) in &run.wave {
                     for u in self.topology.neighbors_of(s) {
-                        if self.is_good[u] && self.accepted[u].is_none() {
+                        if self.undecided(u) {
                             run.incoming[u] += copies;
                         }
                     }
@@ -532,20 +557,9 @@ impl CountingSim {
             return;
         }
         if self.tally_wrong[u] >= self.tally_true[u] {
-            self.accepted[u] = Some(Value::FORGED);
-            self.mark_decided(u);
-            self.accepted_wave[u] = Some(self.waves);
-            self.wrong_accepts += 1;
+            self.decide(u, Value::FORGED, next);
         } else {
-            self.accepted[u] = Some(Value::TRUE);
-            self.mark_decided(u);
-            self.accepted_wave[u] = Some(self.waves);
-            let quota = self.protocol.relay_copies[u];
-            self.budgets[u]
-                .try_spend(quota)
-                .expect("relay quota exceeds good budget");
-            self.good_copies_sent += quota;
-            next.push((u, quota));
+            self.decide(u, Value::TRUE, next);
         }
     }
 
@@ -553,13 +567,17 @@ impl CountingSim {
     /// `step_*` method has returned `false`).
     pub fn outcome(&self) -> CountingOutcome {
         CountingOutcome {
-            good_nodes: self.is_good.iter().filter(|&&g| g).count(),
-            accepted_true: self
-                .accepted
-                .iter()
-                .enumerate()
-                .filter(|&(id, a)| self.is_good[id] && *a == Some(Value::TRUE))
-                .count(),
+            good_nodes: self.is_good.len() - self.bad_nodes.len(),
+            // Bad ids are distinct (checked in `new`), and every decided
+            // good node accepted either `Vtrue` or a counted forgery.
+            accepted_true: self.is_good.len()
+                - self.bad_nodes.len()
+                - self.wrong_accepts
+                - self
+                    .undecided
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum::<usize>(),
             wrong_accepts: self.wrong_accepts,
             waves: self.waves,
             good_copies_sent: self.good_copies_sent,
@@ -583,7 +601,7 @@ impl CountingSim {
         sent: &mut WaveStamped,
         collided: &mut WaveStamped,
     ) {
-        let grid = self.topology.grid();
+        let reach = 2 * self.topology.grid().range();
         for &(s, copies) in wave {
             sent.set(s, copies, self.waves);
         }
@@ -593,7 +611,7 @@ impl CountingSim {
                 .get(c.sender, self.waves)
                 .expect("collision against a non-transmitting sender");
             assert!(
-                grid.linf_distance(c.attacker, c.sender) <= 2 * grid.range(),
+                self.topology.grid().linf_distance(c.attacker, c.sender) <= reach,
                 "collision out of radio range"
             );
             let total = collided.get(c.sender, self.waves).unwrap_or(0) + c.copies;
@@ -603,15 +621,13 @@ impl CountingSim {
                 "more copies collided than sender {} transmitted",
                 c.sender
             );
-            self.budgets[c.attacker]
-                .try_spend(c.copies)
+            self.try_spend(c.attacker, c.copies)
                 .expect("adversary over budget");
             self.adversary_spent += c.copies;
         }
         for f in &plan.forgeries {
             assert!(!self.is_good[f.attacker], "good node in attack plan");
-            self.budgets[f.attacker]
-                .try_spend(f.copies)
+            self.try_spend(f.attacker, f.copies)
                 .expect("adversary over budget");
             self.adversary_spent += f.copies;
         }
@@ -627,7 +643,7 @@ impl CountingSim {
     fn apply_wave(&mut self, wave: &[(NodeId, u64)], plan: &AttackPlan, common: &mut Vec<NodeId>) {
         for &(sender, copies) in wave {
             for u in self.topology.neighbors_of(sender) {
-                if self.is_good[u] && self.accepted[u].is_none() {
+                if self.undecided(u) {
                     self.tally_true[u] += copies;
                 }
             }
@@ -637,7 +653,7 @@ impl CountingSim {
             self.topology
                 .common_neighbors_into(c.attacker, c.sender, common);
             for &u in common.iter() {
-                if self.is_good[u] && self.accepted[u].is_none() {
+                if self.undecided(u) {
                     // Validation bounds the collided total per sender by
                     // its transmitted copies, so this never underflows.
                     self.tally_true[u] -= c.copies;
@@ -647,11 +663,70 @@ impl CountingSim {
         }
         for f in &plan.forgeries {
             for u in self.topology.neighbors_of(f.attacker) {
-                if self.is_good[u] && self.accepted[u].is_none() {
+                if self.undecided(u) {
                     self.tally_wrong[u] += f.copies;
                 }
             }
         }
+    }
+
+    /// Whether `u` is a good node that has not yet accepted a value —
+    /// the bitset fast path for the per-wave receiver filter.
+    #[inline]
+    fn undecided(&self, u: NodeId) -> bool {
+        self.undecided[u / 64] >> (u % 64) & 1 != 0
+    }
+
+    /// Whether `u` is a good node that accepted `Vtrue`.
+    fn accepted_true(&self, u: NodeId) -> bool {
+        self.is_good[u] && !self.undecided(u) && self.forged[u / 64] >> (u % 64) & 1 == 0
+    }
+
+    /// Records that undecided `u` accepts `value` (`Vtrue` or
+    /// [`Value::FORGED`]) in the current wave. A `Vtrue` acceptor spends
+    /// its relay quota and is scheduled into `next`.
+    fn decide(&mut self, u: NodeId, value: Value, next: &mut Vec<(NodeId, u64)>) {
+        self.undecided[u / 64] &= !(1u64 << (u % 64));
+        self.accepted_wave[u] = self.waves as u32;
+        if value == Value::FORGED {
+            self.forged[u / 64] |= 1u64 << (u % 64);
+            self.wrong_accepts += 1;
+        } else {
+            let quota = self.protocol.relay_copies[u];
+            self.try_spend(u, quota)
+                .expect("relay quota exceeds good budget");
+            self.good_copies_sent += quota;
+            next.push((u, quota));
+        }
+    }
+
+    /// `u`'s budget cap: unbounded at the source, the protocol's `m` at
+    /// a good node, `mf` at a bad one.
+    fn budget_limit(&self, u: NodeId) -> Option<u64> {
+        if u == self.source {
+            None
+        } else if self.is_good[u] {
+            Some(self.protocol.budget[u])
+        } else {
+            Some(self.mf)
+        }
+    }
+
+    /// Spends `n` of `u`'s budget units; on an overdraft nothing is
+    /// spent.
+    fn try_spend(&mut self, u: NodeId, n: u64) -> Result<(), NetError> {
+        let spent = self.spent[u];
+        if let Some(limit) = self.budget_limit(u) {
+            if spent + n > limit {
+                return Err(NetError::BudgetExceeded {
+                    limit,
+                    spent,
+                    requested: n,
+                });
+            }
+        }
+        self.spent[u] = spent + n;
+        Ok(())
     }
 
     /// Applies the acceptance rule and schedules the next wave into
@@ -662,20 +737,6 @@ impl CountingSim {
     /// set — exact because a node whose tallies did not change this wave
     /// cannot newly cross the threshold (it would have accepted when
     /// they last changed).
-    /// Whether `u` is a good node that has not yet accepted a value —
-    /// the bitset fast path for the per-wave receiver filter.
-    #[inline]
-    fn undecided(&self, u: NodeId) -> bool {
-        self.undecided[u / 64] >> (u % 64) & 1 != 0
-    }
-
-    /// Clears `u`'s bit in the undecided mirror; call exactly where
-    /// `accepted[u]` is written.
-    #[inline]
-    fn mark_decided(&mut self, u: NodeId) {
-        self.undecided[u / 64] &= !(1u64 << (u % 64));
-    }
-
     fn collect_acceptances_into(
         &mut self,
         candidates: Option<&[NodeId]>,
@@ -707,20 +768,9 @@ impl CountingSim {
             // A forged value crossed the threshold first: a
             // correctness violation (impossible when t*mf < threshold;
             // kept as a checked invariant).
-            self.accepted[u] = Some(Value::FORGED);
-            self.mark_decided(u);
-            self.accepted_wave[u] = Some(self.waves);
-            self.wrong_accepts += 1;
+            self.decide(u, Value::FORGED, next);
         } else if true_in {
-            self.accepted[u] = Some(Value::TRUE);
-            self.mark_decided(u);
-            self.accepted_wave[u] = Some(self.waves);
-            let quota = self.protocol.relay_copies[u];
-            self.budgets[u]
-                .try_spend(quota)
-                .expect("relay quota exceeds good budget");
-            self.good_copies_sent += quota;
-            next.push((u, quota));
+            self.decide(u, Value::TRUE, next);
         }
     }
 
@@ -740,12 +790,19 @@ impl CountingSim {
 
     /// The value accepted by `u`, if any.
     pub fn accepted(&self, u: NodeId) -> Option<Value> {
-        self.accepted[u]
+        if !self.is_good[u] || self.undecided(u) {
+            None
+        } else if self.forged[u / 64] >> (u % 64) & 1 != 0 {
+            Some(Value::FORGED)
+        } else {
+            Some(Value::TRUE)
+        }
     }
 
     /// The wave in which `u` accepted (0 for the source), if it did.
     pub fn accepted_wave(&self, u: NodeId) -> Option<usize> {
-        self.accepted_wave[u]
+        let w = self.accepted_wave[u];
+        (w != NOT_ACCEPTED).then_some(w as usize)
     }
 
     /// Cumulative good-node acceptances per wave — the propagation
@@ -753,7 +810,7 @@ impl CountingSim {
     pub fn propagation_profile(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.waves + 1];
         for u in 0..self.topology.node_count() {
-            if let Some(w) = self.accepted_wave[u] {
+            if let Some(w) = self.accepted_wave(u) {
                 if self.is_good[u] {
                     counts[w] += 1;
                 }
@@ -783,7 +840,7 @@ impl CountingSim {
     pub fn decided_neighbors(&self, u: NodeId) -> usize {
         self.topology
             .neighbors_of(u)
-            .filter(|&v| self.accepted[v] == Some(Value::TRUE))
+            .filter(|&v| self.accepted_true(v))
             .count()
     }
 
@@ -792,13 +849,14 @@ impl CountingSim {
     pub fn decided_good_neighbors(&self, u: NodeId) -> usize {
         self.topology
             .neighbors_of(u)
-            .filter(|&v| self.is_good[v] && self.accepted[v] == Some(Value::TRUE))
+            .filter(|&v| self.accepted_true(v))
             .count()
     }
 
     /// Remaining attack budget of a node.
     pub fn remaining_budget(&self, u: NodeId) -> u64 {
-        self.budgets[u].remaining()
+        self.budget_limit(u)
+            .map_or(u64::MAX, |limit| limit - self.spent[u])
     }
 
     /// Whether node `u` is honest.
@@ -806,6 +864,9 @@ impl CountingSim {
         self.is_good[u]
     }
 }
+
+/// The `accepted_wave` entry of a node that has not accepted.
+const NOT_ACCEPTED: u32 = u32::MAX;
 
 /// Resumable state of a strategy-driven run: the pending wave plus the
 /// reusable per-wave buffers. Produced by [`CountingSim::begin_attack`],
@@ -1035,6 +1096,50 @@ mod tests {
             if !sim.is_good(u) {
                 assert!(sim.remaining_budget(u) <= mf);
             }
+        }
+    }
+
+    /// `reset` must erase every trace of a run, checked across two runs
+    /// that leave different state behind: a passive run decides every
+    /// good node, a low-quorum majority run forges some and strands
+    /// others.
+    #[test]
+    fn reset_restores_the_built_state() {
+        let (grid, p) = small();
+        let quorum = p.mf * u64::from(p.t) + 1;
+        let proto = CountingProtocol::starved(&grid, p, quorum);
+        let bad = LatticePlacement::new(1).bad_nodes(&grid);
+        let build = || CountingSim::new(grid.clone(), proto.clone(), 0, &bad, p.mf);
+        let run = |sim: &mut CountingSim, majority: bool| {
+            if majority {
+                sim.run_majority_oracle(p.mf, quorum)
+            } else {
+                sim.run(&mut Passive)
+            }
+        };
+        let state = |sim: &CountingSim| -> Vec<_> {
+            grid.nodes()
+                .map(|u| {
+                    (
+                        sim.accepted(u),
+                        sim.accepted_wave(u),
+                        sim.tally_true(u),
+                        sim.tally_wrong(u),
+                        sim.remaining_budget(u),
+                    )
+                })
+                .collect()
+        };
+        let forging = run(&mut build(), true);
+        assert!(forging.wrong_accepts > 0 && !forging.is_complete());
+        for majority in [false, true] {
+            let mut sim = build();
+            run(&mut sim, !majority);
+            sim.reset();
+            let out = run(&mut sim, majority);
+            let mut fresh = build();
+            assert_eq!(out, run(&mut fresh, majority), "majority {majority}");
+            assert_eq!(state(&sim), state(&fresh), "majority {majority}");
         }
     }
 

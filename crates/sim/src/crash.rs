@@ -197,6 +197,24 @@ impl HybridSim {
         self
     }
 
+    /// Restores the state [`HybridSim::new`] built — no acceptances but
+    /// the source's, zero tallies and counters — so the same engine can
+    /// run again. Refills in place without allocating; the fault sets
+    /// and scan mode are kept.
+    pub fn reset(&mut self) {
+        self.accepted.fill(None);
+        self.accepted[self.source] = Some(Value::TRUE);
+        self.accepted_wave.fill(None);
+        self.accepted_wave[self.source] = Some(0);
+        self.tally_true.fill(0);
+        self.tally_wrong.fill(0);
+        self.waves = 0;
+        self.good_copies_sent = 0;
+        self.source_copies_sent = 0;
+        self.adversary_spent = 0;
+        self.wrong_accepts = 0;
+    }
+
     fn assert_fresh(&self, u: NodeId) {
         assert!(u < self.topology.node_count(), "node {u} out of range");
         assert!(u != self.source, "the base station is assumed correct");
@@ -567,6 +585,38 @@ mod tests {
         let out = sim.run(p.mf);
         assert!(out.is_correct());
         assert!(out.is_complete(), "coverage {}", out.coverage());
+    }
+
+    /// `reset` must erase a run that decided everyone before one that
+    /// starves a band (and the other way round): Theorem 1's double
+    /// stripe at `m = m0 − 1` holds the band only when attacking.
+    #[test]
+    fn reset_restores_the_built_state() {
+        use bftbcast_adversary::{Placement, StripePlacement};
+        let g = Grid::new(15, 15, 1).unwrap();
+        let p = Params::new(1, 1, 4);
+        let mut byz = StripePlacement::facing_up(4, 1).bad_nodes(&g);
+        byz.extend(StripePlacement::facing_down(11, 1).bad_nodes(&g));
+        let proto = bftbcast_protocols::CountingProtocol::starved(&g, p, p.m0() - 1);
+        let build = || HybridSim::new(g.clone(), proto.clone(), 0).with_byzantine_nodes(&byz);
+        let state = |sim: &HybridSim| -> Vec<_> {
+            g.nodes()
+                .map(|u| {
+                    let tallies = (sim.tally_true(u), sim.tally_wrong(u));
+                    (sim.accepted(u), sim.accepted_wave(u), tallies)
+                })
+                .collect()
+        };
+        assert!(!build().run(p.mf).is_complete());
+        for (first, second) in [(0, p.mf), (p.mf, 0)] {
+            let mut sim = build();
+            sim.run(first);
+            sim.reset();
+            let out = sim.run(second);
+            let mut fresh = build();
+            assert_eq!(out, fresh.run(second), "mf {second}");
+            assert_eq!(state(&sim), state(&fresh), "mf {second}");
+        }
     }
 
     #[test]

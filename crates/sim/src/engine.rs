@@ -65,7 +65,11 @@ pub trait SimEngine {
     fn topology(&self) -> &Topology;
 
     /// (Re)initializes the run from the engine's configuration,
-    /// discarding any previous run's state.
+    /// discarding any previous run's state. The counting and crash
+    /// engines run their simulator as built on the first call and reset
+    /// it in place on later ones, so a re-prepare allocates no second
+    /// copy of the per-node state; the slot and rbc engines rebuild
+    /// theirs (they own a seeded RNG).
     fn prepare(&mut self);
 
     /// Advances one scheduling unit (wave / round / phase). Returns
@@ -265,8 +269,11 @@ enum CountingState {
 
 /// [`SimEngine`] over the worst-case counting engine (and, via
 /// [`CountingDrive`], every adversary model it supports).
+///
+/// The engine holds one simulator: the first `prepare` runs it as
+/// built, and every later one [`reset`](CountingSim::reset)s it in
+/// place.
 pub struct CountingEngine {
-    template: CountingSim,
     live: CountingSim,
     mf: u64,
     drive: CountingDrive,
@@ -278,7 +285,6 @@ impl CountingEngine {
     /// capacity used by the oracle drives.
     pub fn new(sim: CountingSim, mf: u64, drive: CountingDrive) -> Self {
         CountingEngine {
-            template: sim.clone(),
             live: sim,
             mf,
             drive,
@@ -298,7 +304,9 @@ impl SimEngine for CountingEngine {
     }
 
     fn prepare(&mut self) {
-        self.live = self.template.clone();
+        if !matches!(self.state, CountingState::Idle) {
+            self.live.reset();
+        }
         self.state = match self.drive {
             CountingDrive::Oracle => CountingState::Oracle(self.live.begin_oracle(self.mf)),
             CountingDrive::Majority { quorum } => {
@@ -344,8 +352,6 @@ impl SimEngine for CountingEngine {
     }
 
     fn set_scan_mode(&mut self, mode: ScanMode) {
-        // Template too, so the mode survives `prepare`'s clone.
-        self.template.set_scan_mode(mode);
         self.live.set_scan_mode(mode);
     }
 }
@@ -359,9 +365,10 @@ enum CrashState {
     Running(CrashRun),
 }
 
-/// [`SimEngine`] over the hybrid crash + Byzantine engine.
+/// [`SimEngine`] over the hybrid crash + Byzantine engine. Like
+/// [`CountingEngine`], it holds one simulator and
+/// [`reset`](HybridSim::reset)s it in place on a re-prepare.
 pub struct CrashEngine {
-    template: HybridSim,
     live: HybridSim,
     mf: u64,
     state: CrashState,
@@ -373,7 +380,6 @@ impl CrashEngine {
     /// for a collision-free run.
     pub fn new(sim: HybridSim, mf: u64) -> Self {
         CrashEngine {
-            template: sim.clone(),
             live: sim,
             mf,
             state: CrashState::Idle,
@@ -392,7 +398,9 @@ impl SimEngine for CrashEngine {
     }
 
     fn prepare(&mut self) {
-        self.live = self.template.clone();
+        if !matches!(self.state, CrashState::Idle) {
+            self.live.reset();
+        }
         self.state = CrashState::Running(self.live.begin(self.mf));
     }
 
@@ -421,7 +429,6 @@ impl SimEngine for CrashEngine {
     }
 
     fn set_scan_mode(&mut self, mode: ScanMode) {
-        self.template.set_scan_mode(mode);
         self.live.set_scan_mode(mode);
     }
 }
@@ -432,7 +439,7 @@ impl SimEngine for CrashEngine {
 
 /// [`SimEngine`] over the slot-level `Breactive` engine. The slot
 /// engine owns a seeded RNG, so `prepare` rebuilds it from the stored
-/// construction parameters instead of cloning.
+/// construction parameters instead of resetting in place.
 pub struct SlotEngine {
     grid: bftbcast_net::Grid,
     source: NodeId,
@@ -725,12 +732,71 @@ mod tests {
         }
     }
 
+    /// Everything a run leaves behind: the outcome, then every node's
+    /// probe and acceptance wave.
+    type Snapshot = (EngineOutcome, Vec<(Option<Probe>, Option<usize>)>);
+
+    fn snapshot<E: SimEngine>(engine: &E, wave: impl Fn(&E, NodeId) -> Option<usize>) -> Snapshot {
+        let nodes = (0..engine.topology().node_count())
+            .map(|u| (engine.probe(u), wave(engine, u)))
+            .collect();
+        (engine.outcome(), nodes)
+    }
+
+    /// Three back-to-back runs of one engine, and a run followed by a
+    /// dense-scan run of another, all equal a fresh engine's first run.
+    fn assert_reprepare_is_fresh<E: SimEngine>(
+        build: impl Fn() -> E,
+        wave: impl Fn(&E, NodeId) -> Option<usize> + Copy,
+        what: &str,
+    ) {
+        let mut fresh = build();
+        fresh.run_to_completion();
+        let expected = snapshot(&fresh, wave);
+        let mut engine = build();
+        for run in 0..3 {
+            engine.run_to_completion();
+            assert_eq!(snapshot(&engine, wave), expected, "{what}: run {run}");
+        }
+        let mut engine = build();
+        engine.run_to_completion();
+        engine.set_scan_mode(ScanMode::Dense);
+        engine.run_to_completion();
+        assert_eq!(snapshot(&engine, wave), expected, "{what}: dense re-run");
+    }
+
     #[test]
     fn prepare_resets_for_a_fresh_identical_run() {
-        let mut engine = counting_fixture(CountingDrive::Oracle);
-        let first = engine.run_to_completion().as_counting().unwrap().clone();
-        let second = engine.run_to_completion().as_counting().unwrap().clone();
-        assert_eq!(first, second, "runs must be independent");
+        let wave = |e: &CountingEngine, u| e.sim().accepted_wave(u);
+        for drive in [
+            CountingDrive::Oracle,
+            CountingDrive::Majority { quorum: 9 },
+            CountingDrive::Passive,
+            CountingDrive::Greedy,
+            CountingDrive::Chaos(7),
+        ] {
+            assert_reprepare_is_fresh(|| counting_fixture(drive), wave, &format!("{drive:?}"));
+        }
+    }
+
+    #[test]
+    fn crash_engine_prepare_resets_for_a_fresh_identical_run() {
+        let grid = Grid::new(20, 20, 2).unwrap();
+        let p = Params::new(2, 1, 10);
+        let proto = CountingProtocol::protocol_b(&grid, p);
+        let bad = LatticePlacement::new(1).bad_nodes(&grid);
+        let dead: Vec<NodeId> = crash_stripe(&grid, 9, 1)
+            .into_iter()
+            .filter(|u| !bad.contains(u) && *u != 0)
+            .collect();
+        let build = || {
+            let sim = HybridSim::new(grid.clone(), proto.clone(), 0)
+                .with_byzantine_nodes(&bad)
+                .with_crash_nodes(&dead, CrashBehavior::AfterCopies(1));
+            CrashEngine::new(sim, p.mf)
+        };
+        let wave = |e: &CrashEngine, u| e.sim().accepted_wave(u);
+        assert_reprepare_is_fresh(build, wave, "crash");
     }
 
     #[test]
