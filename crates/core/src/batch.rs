@@ -34,7 +34,7 @@ use bftbcast_sim::runner::{sweep_bounded, Table};
 use bftbcast_store::Store;
 
 use crate::cache;
-use crate::json::{self, Object};
+use crate::json::Object;
 use crate::scenario::ScenarioError;
 use crate::scenario_file::{EngineKind, PointSpec, ScenarioFile};
 use crate::spec::EngineSpec;
@@ -141,15 +141,21 @@ fn run_point_cached(
     file: &ScenarioFile,
     point: &PointSpec,
     store: &Store,
+    counted: bool,
 ) -> Result<(PointResult, bool), ScenarioError> {
     let key = cache::point_key(file.engine, point, &file.probes);
     let mut computed: Option<PointResult> = None;
-    let (bytes, hit) = store.get_or_compute(key, || -> Result<Vec<u8>, ScenarioError> {
+    let compute = || -> Result<Vec<u8>, ScenarioError> {
         let result = run_point(file, point)?;
         let encoded = cache::encode_result(&result);
         computed = Some(result);
         Ok(encoded)
-    })?;
+    };
+    let (bytes, hit) = if counted {
+        store.get_or_compute(key, compute)?
+    } else {
+        store.reread_or_compute(key, compute)?
+    };
     let result = match computed {
         Some(result) => result,
         None => {
@@ -193,6 +199,30 @@ pub fn run_file_with(
     file: &ScenarioFile,
     options: &BatchOptions<'_>,
 ) -> Result<BatchReport, ScenarioError> {
+    run_file_counted(file, options, true)
+}
+
+/// Rebuilds the report of a file whose points already ran through
+/// `options.store` — the same rows [`run_file_with`] returned, read
+/// back from the store without counting its hits and misses a second
+/// time. A point whose stored value no longer reads back (damaged on
+/// disk) is recomputed and stored again, so the rows never change.
+///
+/// # Errors
+///
+/// As [`run_file_with`].
+pub fn replay_file_with(
+    file: &ScenarioFile,
+    options: &BatchOptions<'_>,
+) -> Result<BatchReport, ScenarioError> {
+    run_file_counted(file, options, false)
+}
+
+fn run_file_counted(
+    file: &ScenarioFile,
+    options: &BatchOptions<'_>,
+    counted: bool,
+) -> Result<BatchReport, ScenarioError> {
     if options.jobs == Some(0) {
         return Err(ScenarioError::Invalid {
             what: "jobs".to_string(),
@@ -202,7 +232,7 @@ pub fn run_file_with(
     let points = file.points();
     let results = sweep_bounded(&points, options.jobs, |p| match options.store {
         None => run_point(file, p).map(|result| (result, false)),
-        Some(store) => run_point_cached(file, p, store),
+        Some(store) => run_point_cached(file, p, store, counted),
     });
     let mut ok = Vec::with_capacity(results.len());
     let (mut cache_hits, mut cache_misses) = (0, 0);
@@ -224,18 +254,20 @@ pub fn run_file_with(
     })
 }
 
-fn value_json(v: Option<Value>) -> String {
-    match v {
-        None => "null".to_string(),
-        Some(Value::TRUE) => json::string("true"),
-        Some(Value::FORGED) => json::string("forged"),
-        Some(Value(other)) => other.to_string(),
+/// Adds a probe's `accepted` value: `null`, the `"true"` / `"forged"`
+/// names, or the raw value.
+fn accepted_field(o: Object, accepted: Option<Value>) -> Object {
+    match accepted {
+        None => o.raw("accepted", "null"),
+        Some(Value::TRUE) => o.str("accepted", "true"),
+        Some(Value::FORGED) => o.str("accepted", "forged"),
+        Some(Value(other)) => o.u64("accepted", other),
     }
 }
 
-fn outcome_object(outcome: &EngineOutcome) -> Object {
+fn outcome_fields(obj: Object, outcome: &EngineOutcome) -> Object {
     match outcome {
-        EngineOutcome::Counting(o) => Object::new()
+        EngineOutcome::Counting(o) => obj
             .str("kind", "counting")
             .u64("good_nodes", o.good_nodes as u64)
             .u64("accepted_true", o.accepted_true as u64)
@@ -248,7 +280,7 @@ fn outcome_object(outcome: &EngineOutcome) -> Object {
             .bool("complete", o.is_complete())
             .bool("correct", o.is_correct())
             .bool("reliable", o.is_reliable()),
-        EngineOutcome::Reactive(o) => Object::new()
+        EngineOutcome::Reactive(o) => obj
             .str("kind", "reactive")
             .u64("good_nodes", o.good_nodes as u64)
             .u64("committed_true", o.committed_true as u64)
@@ -264,18 +296,15 @@ fn outcome_object(outcome: &EngineOutcome) -> Object {
             .u64("uncommitted", o.uncommitted.len() as u64)
             .f64("coverage", o.coverage())
             .bool("reliable", o.is_reliable()),
-        EngineOutcome::Agreement(o) => {
-            let decided: Vec<String> = o.decided_values().iter().map(|v| v.0.to_string()).collect();
-            Object::new()
-                .str("kind", "agreement")
-                .u64("members", o.decisions.len() as u64)
-                .bool("validity", o.validity_holds())
-                .bool("agreement", o.agreement_holds())
-                .u64("defaults", o.default_count() as u64)
-                .u64("conflicted", o.conflicted_count() as u64)
-                .raw("decided_values", format!("[{}]", decided.join(",")))
-        }
-        EngineOutcome::Rbc(o) => Object::new()
+        EngineOutcome::Agreement(o) => obj
+            .str("kind", "agreement")
+            .u64("members", o.decisions.len() as u64)
+            .bool("validity", o.validity_holds())
+            .bool("agreement", o.agreement_holds())
+            .u64("defaults", o.default_count() as u64)
+            .u64("conflicted", o.conflicted_count() as u64)
+            .u64s("decided_values", o.decided_values().iter().map(|v| v.0)),
+        EngineOutcome::Rbc(o) => obj
             .str("kind", "rbc")
             .u64("good_nodes", o.good_nodes as u64)
             .u64("delivered", o.delivered as u64)
@@ -289,49 +318,50 @@ fn outcome_object(outcome: &EngineOutcome) -> Object {
     }
 }
 
+fn probe_fields(o: Object, p: &ProbeResult) -> Object {
+    let o = o
+        .u64("x", u64::from(p.x))
+        .u64("y", u64::from(p.y))
+        .u64("node", p.node as u64)
+        .u64("tally_true", p.probe.tally_true)
+        .u64("tally_wrong", p.probe.tally_wrong)
+        .u64("intake", p.probe.intake())
+        .u64("decided_neighbors", p.probe.decided_neighbors as u64);
+    accepted_field(o, p.probe.accepted)
+        .u64("phase", p.probe.phase)
+        .u64("conflicts", p.probe.conflicts)
+}
+
+/// Writes a sweep label as the fields of a row's `"point"` object.
+/// Numeric axis values stay raw JSON numbers; name axes (the rbc
+/// protocol) are quoted to keep the line parseable. Anything that
+/// splices a label into a row (the federation coordinator) goes
+/// through here, so its rows stay byte-equal to local ones.
+pub fn label_fields(mut point: Object, label: &[(String, String)]) -> Object {
+    for (axis, value) in label {
+        point = if value.parse::<f64>().is_ok() {
+            point.raw(axis, value)
+        } else {
+            point.str(axis, value)
+        };
+    }
+    point
+}
+
 impl BatchReport {
     /// Renders the report as JSON lines: one self-describing object per
-    /// point (schema documented in `EXPERIMENTS.md`).
+    /// point (schema documented in `EXPERIMENTS.md`), every row written
+    /// straight into the one output string.
     pub fn jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(512 * self.results.len());
         for result in &self.results {
-            let mut point = Object::new();
-            for (axis, value) in &result.point {
-                // Numeric axis values stay raw JSON numbers; name axes
-                // (the rbc protocol) must be quoted to keep the line
-                // parseable.
-                point = if value.parse::<f64>().is_ok() {
-                    point.raw(axis, value.clone())
-                } else {
-                    point.str(axis, value)
-                };
-            }
-            let probes: Vec<String> = result
-                .probes
-                .iter()
-                .map(|p| {
-                    Object::new()
-                        .u64("x", u64::from(p.x))
-                        .u64("y", u64::from(p.y))
-                        .u64("node", p.node as u64)
-                        .u64("tally_true", p.probe.tally_true)
-                        .u64("tally_wrong", p.probe.tally_wrong)
-                        .u64("intake", p.probe.intake())
-                        .u64("decided_neighbors", p.probe.decided_neighbors as u64)
-                        .raw("accepted", value_json(p.probe.accepted))
-                        .u64("phase", p.probe.phase)
-                        .u64("conflicts", p.probe.conflicts)
-                        .render()
-                })
-                .collect();
-            let line = Object::new()
+            out = Object::extend(out)
                 .str("scenario", &self.name)
                 .str("engine", self.engine.name())
-                .raw("point", point.render())
-                .raw("outcome", outcome_object(&result.outcome).render())
-                .raw("probes", format!("[{}]", probes.join(",")))
-                .render();
-            out.push_str(&line);
+                .object("point", |point| label_fields(point, &result.point))
+                .object("outcome", |o| outcome_fields(o, &result.outcome))
+                .objects("probes", &result.probes, probe_fields)
+                .finish();
             out.push('\n');
         }
         out
@@ -669,6 +699,28 @@ mod tests {
     }
 
     #[test]
+    fn replay_reads_rows_back_without_counting() {
+        let file = ScenarioFile::parse(concat!(
+            "[topology]\nside = 15\nr = 1\n",
+            "[faults]\nt = 1\nmf = 4\n",
+            "[protocol]\nkind = \"starved\"\nm = 4\n",
+            "[sweep]\nm = [2, 8]\n",
+        ))
+        .unwrap();
+        let store = Store::in_memory();
+        let options = BatchOptions {
+            jobs: Some(1),
+            store: Some(&store),
+        };
+        let ran = run_file_with(&file, &options).unwrap();
+        let counters = store.stats();
+        let replayed = replay_file_with(&file, &options).unwrap();
+        assert_eq!(replayed.jsonl(), ran.jsonl());
+        assert_eq!((replayed.cache_hits, replayed.cache_misses), (2, 0));
+        assert_eq!(store.stats(), counters, "replays leave the counters alone");
+    }
+
+    #[test]
     fn duplicate_sweep_points_share_one_cache_entry() {
         // The same m twice: two rows, one engine run recorded.
         let file = ScenarioFile::parse(concat!(
@@ -716,5 +768,220 @@ mod tests {
             Ok(_) => panic!("hand-built point must be rejected"),
         };
         assert!(matches!(err, ScenarioError::Invalid { .. }), "{err}");
+    }
+
+    // -----------------------------------------------------------------
+    // JSONL goldens: one hand-built report per outcome kind, rendered
+    // bytes pinned from the writer that built each field as its own
+    // `String` (escaped scenario names, numeric and name axis labels,
+    // every `accepted` spelling, non-trivial floats, decided values).
+    // -----------------------------------------------------------------
+
+    use bftbcast_sim::agreement::AgreementOutcome;
+    use bftbcast_sim::metrics::{CountingOutcome, RbcOutcome, ReactiveOutcome};
+
+    fn report(name: &str, engine: EngineKind, results: Vec<PointResult>) -> BatchReport {
+        BatchReport {
+            name: name.to_string(),
+            engine,
+            results,
+            cache_hits: 0,
+            cache_misses: 0,
+        }
+    }
+
+    fn probe(x: u32, y: u32, node: usize, probe: Probe) -> ProbeResult {
+        ProbeResult { x, y, node, probe }
+    }
+
+    fn label(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|&(a, v)| (a.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// One report per outcome kind, built by hand so the rendered bytes
+    /// depend on nothing but the JSONL writer.
+    fn golden_reports() -> Vec<BatchReport> {
+        let counting = report(
+            "f2 \"q\"\t",
+            EngineKind::Counting,
+            vec![
+                PointResult {
+                    point: label(&[("m", "59"), ("protocol", "ctrbc")]),
+                    outcome: EngineOutcome::Counting(CountingOutcome {
+                        good_nodes: 2000,
+                        accepted_true: 84,
+                        wrong_accepts: 0,
+                        waves: 17,
+                        good_copies_sent: 12_345,
+                        source_copies_sent: 2001,
+                        adversary_spent: 999_999,
+                    }),
+                    probes: vec![
+                        probe(
+                            0,
+                            5,
+                            225,
+                            Probe {
+                                tally_true: 1118,
+                                tally_wrong: 947,
+                                decided_neighbors: 3,
+                                accepted: None,
+                                ..Probe::default()
+                            },
+                        ),
+                        probe(
+                            5,
+                            1,
+                            50,
+                            Probe {
+                                tally_true: 1000,
+                                accepted: Some(Value::TRUE),
+                                ..Probe::default()
+                            },
+                        ),
+                        probe(
+                            7,
+                            7,
+                            322,
+                            Probe {
+                                tally_wrong: 4,
+                                accepted: Some(Value::FORGED),
+                                ..Probe::default()
+                            },
+                        ),
+                        probe(
+                            8,
+                            0,
+                            8,
+                            Probe {
+                                accepted: Some(Value(7)),
+                                ..Probe::default()
+                            },
+                        ),
+                    ],
+                },
+                PointResult {
+                    point: Vec::new(),
+                    outcome: EngineOutcome::Counting(CountingOutcome {
+                        good_nodes: 3,
+                        accepted_true: 3,
+                        wrong_accepts: 0,
+                        waves: 1,
+                        good_copies_sent: 2,
+                        source_copies_sent: 1,
+                        adversary_spent: 0,
+                    }),
+                    probes: Vec::new(),
+                },
+            ],
+        );
+        let reactive = report(
+            "reactive",
+            EngineKind::Slot,
+            vec![PointResult {
+                point: label(&[("k", "8"), ("adversary", "jammer")]),
+                outcome: EngineOutcome::Reactive(ReactiveOutcome {
+                    good_nodes: 3,
+                    committed_true: 1,
+                    committed_wrong: 0,
+                    rounds: 500,
+                    data_transmissions: 60,
+                    nack_transmissions: 12,
+                    max_node_messages: 9,
+                    subbits_per_message: 3198,
+                    adversary_spent: 30,
+                    detections: 12,
+                    undetected_corruptions: 0,
+                    uncommitted: vec![7, 9],
+                }),
+                probes: vec![probe(
+                    3,
+                    3,
+                    48,
+                    Probe {
+                        tally_true: 2,
+                        decided_neighbors: 1,
+                        accepted: Some(Value::TRUE),
+                        ..Probe::default()
+                    },
+                )],
+            }],
+        );
+        let agreement = report(
+            "x4",
+            EngineKind::Agreement,
+            vec![PointResult {
+                point: label(&[("p1", "0.5"), ("pe", "1e-3")]),
+                outcome: EngineOutcome::Agreement(AgreementOutcome {
+                    decisions: vec![(3, Value(2)), (4, Value(2)), (5, Value::TRUE)],
+                    source_correct: false,
+                    proposals: vec![(3, Value(2))],
+                    aggregates: vec![(4, Value(3))],
+                }),
+                probes: vec![probe(
+                    1,
+                    2,
+                    31,
+                    Probe {
+                        tally_true: 2,
+                        tally_wrong: 1,
+                        decided_neighbors: 2,
+                        accepted: Some(Value(2)),
+                        ..Probe::default()
+                    },
+                )],
+            }],
+        );
+        let rbc = report(
+            "rbc-compare",
+            EngineKind::Rbc,
+            vec![PointResult {
+                point: label(&[("protocol", "bracha"), ("payload", "256")]),
+                outcome: EngineOutcome::Rbc(RbcOutcome {
+                    good_nodes: 223,
+                    delivered: 200,
+                    messages: 98_765,
+                    wire_bits: 4_321_000,
+                    waves: 17,
+                    echoes_sent: 223,
+                    readies_sent: 210,
+                }),
+                probes: vec![probe(
+                    7,
+                    2,
+                    37,
+                    Probe {
+                        tally_true: 223,
+                        tally_wrong: 223,
+                        decided_neighbors: 8,
+                        accepted: Some(Value::TRUE),
+                        phase: 3,
+                        conflicts: 2,
+                    },
+                )],
+            }],
+        );
+        vec![counting, reactive, agreement, rbc]
+    }
+
+    const GOLDEN_JSONL: [&str; 4] = [
+        "{\"scenario\":\"f2 \\\"q\\\"\\t\",\"engine\":\"counting\",\"point\":{\"m\":59,\"protocol\":\"ctrbc\"},\"outcome\":{\"kind\":\"counting\",\"good_nodes\":2000,\"accepted_true\":84,\"wrong_accepts\":0,\"waves\":17,\"good_copies_sent\":12345,\"source_copies_sent\":2001,\"adversary_spent\":999999,\"coverage\":0.042,\"complete\":false,\"correct\":true,\"reliable\":false},\"probes\":[{\"x\":0,\"y\":5,\"node\":225,\"tally_true\":1118,\"tally_wrong\":947,\"intake\":2065,\"decided_neighbors\":3,\"accepted\":null,\"phase\":0,\"conflicts\":0},{\"x\":5,\"y\":1,\"node\":50,\"tally_true\":1000,\"tally_wrong\":0,\"intake\":1000,\"decided_neighbors\":0,\"accepted\":\"true\",\"phase\":0,\"conflicts\":0},{\"x\":7,\"y\":7,\"node\":322,\"tally_true\":0,\"tally_wrong\":4,\"intake\":4,\"decided_neighbors\":0,\"accepted\":\"forged\",\"phase\":0,\"conflicts\":0},{\"x\":8,\"y\":0,\"node\":8,\"tally_true\":0,\"tally_wrong\":0,\"intake\":0,\"decided_neighbors\":0,\"accepted\":7,\"phase\":0,\"conflicts\":0}]}\n{\"scenario\":\"f2 \\\"q\\\"\\t\",\"engine\":\"counting\",\"point\":{},\"outcome\":{\"kind\":\"counting\",\"good_nodes\":3,\"accepted_true\":3,\"wrong_accepts\":0,\"waves\":1,\"good_copies_sent\":2,\"source_copies_sent\":1,\"adversary_spent\":0,\"coverage\":1,\"complete\":true,\"correct\":true,\"reliable\":true},\"probes\":[]}\n",
+        "{\"scenario\":\"reactive\",\"engine\":\"slot\",\"point\":{\"k\":8,\"adversary\":\"jammer\"},\"outcome\":{\"kind\":\"reactive\",\"good_nodes\":3,\"committed_true\":1,\"committed_wrong\":0,\"rounds\":500,\"data_transmissions\":60,\"nack_transmissions\":12,\"max_node_messages\":9,\"subbits_per_message\":3198,\"adversary_spent\":30,\"detections\":12,\"undetected_corruptions\":0,\"uncommitted\":2,\"coverage\":0.3333333333333333,\"reliable\":false},\"probes\":[{\"x\":3,\"y\":3,\"node\":48,\"tally_true\":2,\"tally_wrong\":0,\"intake\":2,\"decided_neighbors\":1,\"accepted\":\"true\",\"phase\":0,\"conflicts\":0}]}\n",
+        "{\"scenario\":\"x4\",\"engine\":\"agreement\",\"point\":{\"p1\":0.5,\"pe\":1e-3},\"outcome\":{\"kind\":\"agreement\",\"members\":3,\"validity\":true,\"agreement\":false,\"defaults\":0,\"conflicted\":0,\"decided_values\":[1,2]},\"probes\":[{\"x\":1,\"y\":2,\"node\":31,\"tally_true\":2,\"tally_wrong\":1,\"intake\":3,\"decided_neighbors\":2,\"accepted\":2,\"phase\":0,\"conflicts\":0}]}\n",
+        "{\"scenario\":\"rbc-compare\",\"engine\":\"rbc\",\"point\":{\"protocol\":\"bracha\",\"payload\":256},\"outcome\":{\"kind\":\"rbc\",\"good_nodes\":223,\"delivered\":200,\"messages\":98765,\"wire_bits\":4321000,\"waves\":17,\"echoes_sent\":223,\"readies_sent\":210,\"coverage\":0.8968609865470852,\"reliable\":false},\"probes\":[{\"x\":7,\"y\":2,\"node\":37,\"tally_true\":223,\"tally_wrong\":223,\"intake\":446,\"decided_neighbors\":8,\"accepted\":\"true\",\"phase\":3,\"conflicts\":2}]}\n",
+    ];
+
+    #[test]
+    fn jsonl_bytes_are_pinned_for_every_outcome_kind() {
+        let reports = golden_reports();
+        assert_eq!(reports.len(), GOLDEN_JSONL.len());
+        for (report, pinned) in reports.iter().zip(GOLDEN_JSONL) {
+            assert_eq!(report.jsonl(), pinned, "{:?} report", report.engine);
+        }
+        let empty = report("none", EngineKind::Counting, Vec::new());
+        assert_eq!(empty.jsonl(), "");
     }
 }

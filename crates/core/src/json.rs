@@ -5,95 +5,210 @@
 
 use std::fmt::Write as _;
 
+/// Appends `s` to `out` with JSON escapes (quotes, backslashes,
+/// control characters). Runs that need no escape are copied through
+/// whole: every escaped character is ASCII, so a byte scan finds them
+/// on char boundaries.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends `s` to `out` as a quoted JSON string.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Appends `x` as a JSON number, or `null` when it is not finite.
+fn push_number(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// Escapes a string for embedding in a JSON document (quotes,
 /// backslashes, control characters).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
 /// Renders a quoted JSON string.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
 }
 
 /// Renders a `["a","b",...]` array of strings.
 pub fn string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| string(s)).collect();
-    format!("[{}]", cells.join(","))
+    let mut out = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_string(&mut out, item);
+    }
+    out.push(']');
+    out
 }
 
 /// Renders a float as a JSON number (finite values only; non-finite
 /// become `null`, which JSON has no float spelling for).
 pub fn number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    push_number(&mut out, x);
+    out
 }
 
 /// An incremental `{...}` object writer preserving insertion order.
-#[derive(Debug, Default, Clone)]
+///
+/// Every field is appended to one buffer as it is added; nested
+/// objects and arrays of objects ([`Object::object`],
+/// [`Object::objects`]) continue in the same buffer, and
+/// [`Object::extend`] / [`Object::finish`] let a caller stream many
+/// objects into one output string.
+#[derive(Debug, Clone)]
 pub struct Object {
-    fields: Vec<(String, String)>,
+    /// The rendered text so far: everything but the closing brace.
+    buf: String,
+    /// No field has been written yet (so the next one takes no comma).
+    empty: bool,
+}
+
+impl Default for Object {
+    fn default() -> Self {
+        Object::new()
+    }
 }
 
 impl Object {
     /// An empty object.
     pub fn new() -> Self {
-        Object::default()
+        Object::extend(String::new())
+    }
+
+    /// An empty object opened at the end of `buf`; [`Object::finish`]
+    /// hands the buffer back with the object closed.
+    pub fn extend(mut buf: String) -> Self {
+        buf.push('{');
+        Object { buf, empty: true }
+    }
+
+    /// Writes `,"key":` (no comma before the first field).
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.buf.push(',');
+        }
+        push_string(&mut self.buf, key);
+        self.buf.push(':');
+        &mut self.buf
     }
 
     /// Adds a pre-rendered JSON value under `key`.
-    pub fn raw(mut self, key: &str, value: impl Into<String>) -> Self {
-        self.fields.push((key.to_string(), value.into()));
+    pub fn raw(mut self, key: &str, value: impl AsRef<str>) -> Self {
+        self.key(key).push_str(value.as_ref());
         self
     }
 
     /// Adds a string field.
-    pub fn str(self, key: &str, value: &str) -> Self {
-        let rendered = string(value);
-        self.raw(key, rendered)
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        push_string(self.key(key), value);
+        self
     }
 
     /// Adds an unsigned integer field.
-    pub fn u64(self, key: &str, value: u64) -> Self {
-        self.raw(key, value.to_string())
+    pub fn u64(mut self, key: &str, value: u64) -> Self {
+        let _ = write!(self.key(key), "{value}");
+        self
     }
 
     /// Adds a float field.
-    pub fn f64(self, key: &str, value: f64) -> Self {
-        let rendered = number(value);
-        self.raw(key, rendered)
+    pub fn f64(mut self, key: &str, value: f64) -> Self {
+        push_number(self.key(key), value);
+        self
     }
 
     /// Adds a boolean field.
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.raw(key, if value { "true" } else { "false" })
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a `[a,b,...]` array of unsigned integers.
+    pub fn u64s(mut self, key: &str, values: impl IntoIterator<Item = u64>) -> Self {
+        let buf = self.key(key);
+        buf.push('[');
+        for (i, v) in values.into_iter().enumerate() {
+            if i > 0 {
+                buf.push(',');
+            }
+            let _ = write!(buf, "{v}");
+        }
+        buf.push(']');
+        self
+    }
+
+    /// Adds a nested object whose fields `body` writes.
+    pub fn object(mut self, key: &str, body: impl FnOnce(Object) -> Object) -> Self {
+        let buf = std::mem::take(self.key(key));
+        self.buf = body(Object::extend(buf)).finish();
+        self
+    }
+
+    /// Adds an array with one object per item, its fields written by
+    /// `each`.
+    pub fn objects<T>(
+        mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(Object, T) -> Object,
+    ) -> Self {
+        let mut buf = std::mem::take(self.key(key));
+        buf.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                buf.push(',');
+            }
+            buf = each(Object::extend(buf), item).finish();
+        }
+        buf.push(']');
+        self.buf = buf;
+        self
+    }
+
+    /// Closes the object and returns the buffer holding it.
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
     }
 
     /// Renders the object on one line.
     pub fn render(&self) -> String {
-        let fields: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", string(k)))
-            .collect();
-        format!("{{{}}}", fields.join(","))
+        self.clone().finish()
     }
 }
 
@@ -407,6 +522,74 @@ mod tests {
             o.render(),
             "{\"name\":\"f2\",\"m\":59,\"coverage\":0.5,\"ok\":true,\"probes\":[]}"
         );
+    }
+
+    /// Rendered bytes pinned from the `Vec<(String, String)>` writer
+    /// this one replaced: escapes in keys and values (control
+    /// characters below 0x20 only — DEL and non-ASCII copy through),
+    /// every number spelling, non-finite floats as `null`, the empty
+    /// object, and nested objects.
+    #[test]
+    fn object_output_is_pinned_byte_for_byte() {
+        let o = Object::new()
+            .str("q", "a\"b\\c\nd\te\rf\u{1}g\u{1f}h\u{7f}")
+            .str("uni", "é€😀")
+            .str("k\"ey\n", "v")
+            .f64("nan", f64::NAN)
+            .f64("inf", f64::INFINITY)
+            .f64("ninf", f64::NEG_INFINITY)
+            .f64("x", 0.1)
+            .f64("neg", -2.5e-8)
+            .f64("big", 1e21)
+            .u64("max", u64::MAX)
+            .bool("t", true)
+            .bool("f", false)
+            .raw("empty", Object::new().render())
+            .raw(
+                "nested",
+                Object::new()
+                    .u64("a", 1)
+                    .raw("b", Object::new().str("c", "d").render())
+                    .render(),
+            )
+            .raw("arr", "[1,2]");
+        let pinned = "{\"q\":\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\u{7f}\",\"uni\":\"é€😀\",\"k\\\"ey\\n\":\"v\",\"nan\":null,\"inf\":null,\"ninf\":null,\"x\":0.1,\"neg\":-0.000000025,\"big\":1000000000000000000000,\"max\":18446744073709551615,\"t\":true,\"f\":false,\"empty\":{},\"nested\":{\"a\":1,\"b\":{\"c\":\"d\"}},\"arr\":[1,2]}";
+        assert_eq!(o.render(), pinned);
+        assert_eq!(Object::new().render(), "{}");
+        assert_eq!(Object::default().render(), "{}");
+    }
+
+    /// The streaming forms write the same bytes as rendering nested
+    /// objects and splicing them in with `raw`.
+    #[test]
+    fn nested_writers_match_raw_splicing() {
+        let streamed = Object::new()
+            .str("s", "x")
+            .object("o", |o| o.u64("a", 1).object("e", |e| e))
+            .objects("l", [1u64, 2], |o, v| o.u64("v", v))
+            .objects("none", std::iter::empty::<u64>(), |o, v| o.u64("v", v))
+            .u64s("n", [0, 7, u64::MAX])
+            .u64s("z", [])
+            .render();
+        let spliced = Object::new()
+            .str("s", "x")
+            .raw("o", "{\"a\":1,\"e\":{}}")
+            .raw("l", "[{\"v\":1},{\"v\":2}]")
+            .raw("none", "[]")
+            .raw("n", "[0,7,18446744073709551615]")
+            .raw("z", "[]")
+            .render();
+        assert_eq!(streamed, spliced);
+        let two = Object::extend(Object::new().u64("a", 1).finish()).finish();
+        assert_eq!(two, "{\"a\":1}{}", "extend appends after existing text");
+    }
+
+    #[test]
+    fn escapes_pass_non_ascii_runs_through_whole() {
+        assert_eq!(escape("é€😀 plain"), "é€😀 plain");
+        assert_eq!(escape("€\"€"), "€\\\"€");
+        assert_eq!(escape(""), "");
+        assert_eq!(string("\u{0}"), "\"\\u0000\"");
     }
 
     #[test]

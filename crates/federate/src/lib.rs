@@ -48,6 +48,7 @@ use std::io;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 
+use bftbcast::batch::label_fields;
 use bftbcast::json::{Json, Object};
 use bftbcast::spec::EngineSpec;
 use bftbcast::ScenarioFile;
@@ -148,11 +149,8 @@ fn reattach_label(row: &str, label: &[(String, String)]) -> String {
     if label.is_empty() {
         return row.to_string();
     }
-    let mut point = Object::new();
-    for (axis, value) in label {
-        point = point.raw(axis, value.clone());
-    }
-    row.replacen("\"point\":{}", &format!("\"point\":{}", point.render()), 1)
+    let point = label_fields(Object::new(), label).render();
+    row.replacen("\"point\":{}", &format!("\"point\":{point}"), 1)
 }
 
 /// Pulls `cache_hits`/`cache_misses` out of a results trailer.
@@ -543,6 +541,15 @@ mod tests {
             "{\"scenario\":\"mini\",\"engine\":\"counting\",\"point\":{\"m\":2},\"outcome\":{\"kind\":\"counting\"},\"probes\":[]}"
         );
         assert_eq!(reattach_label(row, &[]), row, "no label, no change");
+        // Name axes are quoted exactly as a local run quotes them.
+        let label = vec![
+            ("protocol".to_string(), "ctrbc".to_string()),
+            ("payload".to_string(), "256".to_string()),
+        ];
+        assert_eq!(
+            reattach_label(row, &label),
+            "{\"scenario\":\"mini\",\"engine\":\"counting\",\"point\":{\"protocol\":\"ctrbc\",\"payload\":256},\"outcome\":{\"kind\":\"counting\"},\"probes\":[]}"
+        );
     }
 
     /// Two live backends: the federated rows equal a local run's rows

@@ -7,7 +7,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use bftbcast::batch::{run_file_with, BatchOptions};
+use bftbcast::batch::{replay_file_with, run_file_with, BatchOptions};
 use bftbcast::json::Object;
 use bftbcast::report;
 use bftbcast::spec::EngineSpec;
@@ -21,8 +21,10 @@ struct Job {
     id: String,
     name: String,
     points: usize,
-    /// Present while queued; taken by the worker.
-    file: Option<ScenarioFile>,
+    /// The scenario: run by the worker, then replayed from the store
+    /// by every `results` request to rebuild the rows, so a finished
+    /// job holds its configuration rather than its output.
+    file: Arc<ScenarioFile>,
     state: JobState,
 }
 
@@ -30,7 +32,7 @@ enum JobState {
     Queued,
     Running,
     Done {
-        rows: Vec<String>,
+        rows: usize,
         hits: usize,
         misses: usize,
     },
@@ -219,8 +221,7 @@ fn worker_loop(shared: &Shared) {
             loop {
                 if let Some(idx) = st.queue.pop_front() {
                     st.jobs[idx].state = JobState::Running;
-                    let file = st.jobs[idx].file.take().expect("queued job keeps its file");
-                    break (idx, file);
+                    break (idx, Arc::clone(&st.jobs[idx].file));
                 }
                 if st.shutdown {
                     return;
@@ -239,7 +240,7 @@ fn worker_loop(shared: &Shared) {
         let mut st = shared.state.lock().expect("server lock");
         st.jobs[idx].state = match outcome {
             Ok(report) => JobState::Done {
-                rows: report.jsonl().lines().map(str::to_string).collect(),
+                rows: report.results.len(),
                 hits: report.cache_hits,
                 misses: report.cache_misses,
             },
@@ -346,7 +347,7 @@ fn respond(request: Request, shared: &Shared, out: &mut TcpStream) -> io::Result
                             id: id.clone(),
                             name: name.clone(),
                             points,
-                            file: Some(file),
+                            file: Arc::new(file),
                             state: JobState::Queued,
                         });
                         st.queue.push_back(idx);
@@ -440,17 +441,36 @@ fn respond(request: Request, shared: &Shared, out: &mut TcpStream) -> io::Result
                         .bool("ok", true)
                         .bool("done", true)
                         .str("job", &job)
-                        .u64("rows", rows.len() as u64)
+                        .u64("rows", *rows as u64)
                         .u64("cache_hits", *hits as u64)
                         .u64("cache_misses", *misses as u64)
                         .render();
-                    let mut body = rows.join("\n");
-                    if !body.is_empty() {
-                        body.push('\n');
-                    }
-                    body.push_str(&trailer);
+                    let file = Arc::clone(&st.jobs[idx].file);
                     drop(st);
-                    writeln!(out, "{body}")
+                    // The worker stored every point of the job, so the
+                    // replay reads each row back from the store (a
+                    // damaged entry is recomputed) off the worker's
+                    // queue, on this connection's thread.
+                    let replayed = replay_file_with(
+                        &file,
+                        &BatchOptions {
+                            jobs: shared.opts.jobs,
+                            store: Some(&shared.store),
+                        },
+                    );
+                    match replayed {
+                        Ok(report) => {
+                            let mut body = report.jsonl();
+                            body.push_str(&trailer);
+                            body.push('\n');
+                            out.write_all(body.as_bytes())
+                        }
+                        Err(e) => writeln!(
+                            out,
+                            "{}",
+                            error_line(&format!("job {job} results failed: {e}"))
+                        ),
+                    }
                 }
                 JobState::Failed(e) => {
                     let line = error_line(&format!("job {job} failed: {e}"));
@@ -599,6 +619,74 @@ mod tests {
 
         client::shutdown(&addr).unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    /// A finished job keeps its scenario, not its rows: each `results`
+    /// call replays the rows from the store, and replays are neither
+    /// job work nor store lookups — the trailer, `status` and the
+    /// store's hit/miss counters all stay where the job left them.
+    #[test]
+    fn results_replays_identical_rows_without_recounting() {
+        let (addr, handle) = start(Some(1));
+        let job = client::submit(&addr, MINI).unwrap();
+        let first = client::results(&addr, &job).unwrap();
+        let status = client::status(&addr, &job).unwrap();
+        let stats = client::stats(&addr).unwrap();
+        let second = client::results(&addr, &job).unwrap();
+        assert_eq!(second, first, "rows and trailer are identical");
+        assert_eq!(first.0.len(), 2);
+        assert!(first.1.contains("\"rows\":2"), "{}", first.1);
+        assert!(first.1.contains("\"cache_misses\":2"), "{}", first.1);
+        assert_eq!(client::status(&addr, &job).unwrap(), status);
+        assert_eq!(
+            client::stats(&addr).unwrap(),
+            stats,
+            "replays are not counted"
+        );
+        client::shutdown(&addr).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    /// A store record damaged on disk after the job finished reads back
+    /// as a miss on replay: the point is recomputed and stored again,
+    /// and the rows, trailer and status are unchanged.
+    #[test]
+    fn results_recompute_a_damaged_store_record() {
+        let dir = std::env::temp_dir().join(format!(
+            "bftbcast-serve-damage-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&store), Some(1)).unwrap();
+        let addr = server.local_addr().to_string();
+        let handle = std::thread::spawn(move || server.serve());
+        let job = client::submit(&addr, MINI).unwrap();
+        let (rows, trailer) = client::results(&addr, &job).unwrap();
+        let status = client::status(&addr, &job).unwrap();
+
+        // Flip one bit inside the first record (just past the 8-byte
+        // magic), as a failing disk would.
+        let log = dir.join("store.log");
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[8 + 30] ^= 0x10;
+        std::fs::write(&log, &bytes).unwrap();
+        let damaged = client::stats_verbose(&addr).unwrap();
+        assert!(damaged.contains("\"store_records\":1"), "{damaged}");
+
+        let replay = client::results(&addr, &job).unwrap();
+        assert_eq!(replay, (rows, trailer), "recomputed rows are identical");
+        assert_eq!(client::status(&addr, &job).unwrap(), status);
+        let repaired = client::stats_verbose(&addr).unwrap();
+        assert!(
+            repaired.contains("\"store_records\":2"),
+            "the damaged point was recomputed and stored again: {repaired}"
+        );
+        assert!(repaired.contains("\"store_entries\":2"), "{repaired}");
+        client::shutdown(&addr).unwrap();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

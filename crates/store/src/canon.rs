@@ -11,6 +11,13 @@
 //! version, so evolving the schema retires every old key instead of
 //! silently aliasing new configurations onto stale cache entries.
 //!
+//! [`CanonWriter`] produces the same bytes without building a tree:
+//! the caller supplies fields already in ascending name order (at every
+//! nesting level) and each one is written straight into one buffer.
+//! That sorted-order contract is what makes the two encodings equal;
+//! debug builds assert it, and a property test holds the writer to
+//! [`Record::canonical_bytes`], which remains the reference.
+//!
 //! The content hash is plain FNV-1a 64 — no dependencies, stable across
 //! platforms and process runs, and collision-free in practice for the
 //! cache-sized key spaces used here (a collision would require two
@@ -144,6 +151,172 @@ impl Record {
     /// store key for this record's configuration.
     pub fn content_hash(&self) -> u64 {
         fnv1a(&self.canonical_bytes())
+    }
+}
+
+/// A streaming writer of the same canonical bytes as [`Record`], with
+/// no per-field allocation: every field goes straight into one buffer,
+/// and the lengths of nested records and lists are backpatched when
+/// they close.
+///
+/// **Contract:** fields must arrive in strictly ascending byte order of
+/// their names, at every nesting level — the order
+/// [`Record::canonical_bytes`] sorts them into (so `"r"` precedes
+/// `"rbc"`, which precedes `"reactive"`). Debug builds assert it; a
+/// release build given out-of-order fields writes bytes that no
+/// `Record` produces, i.e. a different key.
+///
+/// ```
+/// use bftbcast_store::{CanonWriter, Record};
+///
+/// let record = Record::new(1)
+///     .u64("r", 4)
+///     .record("placement", Record::new(1).str("kind", "lattice"))
+///     .list("probes", &[Record::new(1).u64("x", 0).u64("y", 5)]);
+/// let mut w = CanonWriter::new(1);
+/// w.record("placement", 1, |w| {
+///     w.str("kind", "lattice");
+/// })
+/// .list("probes", 1, [(0u64, 5u64)], |w, (x, y)| {
+///     w.u64("x", x).u64("y", y);
+/// })
+/// .u64("r", 4);
+/// assert_eq!(w.bytes(), record.canonical_bytes());
+/// assert_eq!(w.content_hash(), record.content_hash());
+/// ```
+#[derive(Debug, Clone)]
+pub struct CanonWriter {
+    buf: Vec<u8>,
+    /// Where the previous field name at the current nesting level sits
+    /// in `buf` — the ordering check compares against it in place.
+    last_name: Option<(usize, usize)>,
+}
+
+impl CanonWriter {
+    /// An empty top-level record under schema version `version`.
+    pub fn new(version: u16) -> Self {
+        let mut buf = Vec::with_capacity(1024);
+        buf.extend_from_slice(&version.to_le_bytes());
+        CanonWriter {
+            buf,
+            last_name: None,
+        }
+    }
+
+    /// Writes `name_len | name | tag`, checking the sorted-order
+    /// contract against the previous name at this level.
+    fn name(&mut self, name: &str, tag: u8) {
+        debug_assert!(
+            self.last_name
+                .is_none_or(|(at, end)| &self.buf[at..end] < name.as_bytes()),
+            "canonical field {name:?} out of order (fields must be strictly ascending)"
+        );
+        self.buf
+            .extend_from_slice(&(name.len() as u32).to_le_bytes());
+        let at = self.buf.len();
+        self.buf.extend_from_slice(name.as_bytes());
+        self.last_name = Some((at, self.buf.len()));
+        self.buf.push(tag);
+    }
+
+    fn scalar(&mut self, name: &str, tag: u8, value: &[u8]) -> &mut Self {
+        self.name(name, tag);
+        self.buf
+            .extend_from_slice(&(value.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(value);
+        self
+    }
+
+    /// Reserves a `u32` length slot; [`CanonWriter::close`] fills it.
+    fn open(&mut self) -> usize {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        at
+    }
+
+    /// Backpatches the slot at `at` with the byte count written since.
+    fn close(&mut self, at: usize) {
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Writes one nested record body: its version, then whatever
+    /// `body` writes, under a fresh ordering scope.
+    fn nested(&mut self, version: u16, body: impl FnOnce(&mut Self)) {
+        self.buf.extend_from_slice(&version.to_le_bytes());
+        let outer = self.last_name.take();
+        body(self);
+        self.last_name = outer;
+    }
+
+    /// Writes an unsigned integer field.
+    pub fn u64(&mut self, name: &str, v: u64) -> &mut Self {
+        self.scalar(name, TAG_U64, &v.to_le_bytes())
+    }
+
+    /// Writes a signed integer field.
+    pub fn i64(&mut self, name: &str, v: i64) -> &mut Self {
+        self.scalar(name, TAG_I64, &v.to_le_bytes())
+    }
+
+    /// Writes a float field by bit pattern (as [`Record::f64`]).
+    pub fn f64(&mut self, name: &str, v: f64) -> &mut Self {
+        self.scalar(name, TAG_F64, &v.to_bits().to_le_bytes())
+    }
+
+    /// Writes a boolean field.
+    pub fn bool(&mut self, name: &str, v: bool) -> &mut Self {
+        self.scalar(name, TAG_BOOL, &[u8::from(v)])
+    }
+
+    /// Writes a string field.
+    pub fn str(&mut self, name: &str, v: &str) -> &mut Self {
+        self.scalar(name, TAG_STR, v.as_bytes())
+    }
+
+    /// Writes a nested record (as [`Record::record`]) whose fields
+    /// `body` writes, in ascending name order of their own.
+    pub fn record(&mut self, name: &str, version: u16, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.name(name, TAG_RECORD);
+        let at = self.open();
+        self.nested(version, body);
+        self.close(at);
+        self
+    }
+
+    /// Writes an ordered list of records (as [`Record::list`]): one
+    /// record under `version` per item, its fields written by `body`.
+    pub fn list<T>(
+        &mut self,
+        name: &str,
+        version: u16,
+        items: impl IntoIterator<Item = T>,
+        mut body: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        self.name(name, TAG_LIST);
+        let at = self.open();
+        let count_at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        let mut count = 0u32;
+        for item in items {
+            let item_at = self.open();
+            self.nested(version, |w| body(w, item));
+            self.close(item_at);
+            count += 1;
+        }
+        self.buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        self.close(at);
+        self
+    }
+
+    /// The canonical bytes written so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The FNV-1a 64 hash of the bytes written so far.
+    pub fn content_hash(&self) -> u64 {
+        fnv1a(&self.buf)
     }
 }
 

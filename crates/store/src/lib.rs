@@ -17,6 +17,10 @@
 //!   ([`fnv1a`]). Field order never matters: the canonical form sorts
 //!   fields by name, so any two ways of describing the same
 //!   configuration hash identically, in every process, forever.
+//!   [`CanonWriter`] streams the same bytes into one buffer for callers
+//!   that can supply fields already in sorted name order (the hot
+//!   cache-key path); `Record` is the order-free reference it is
+//!   property-tested against.
 //! * [`log`] — the [`Store`]: an append-only on-disk log
 //!   (`<dir>/store.log`) replayed into an in-memory index at open
 //!   (values appended later are read back from the log on lookup),
@@ -69,7 +73,7 @@ pub mod log;
 pub mod maintenance;
 pub mod merge;
 
-pub use canon::{fnv1a, Record};
+pub use canon::{fnv1a, CanonWriter, Record};
 pub use fault::{FaultPlan, FaultStats, WriteFault};
 pub use log::{RecoveryReport, Store, StoreStats};
 pub use maintenance::{compact, fsck, fsck_report, repair, FsckReport, RepairReport};

@@ -516,10 +516,41 @@ impl Store {
         key: u64,
         compute: impl FnOnce() -> Result<Vec<u8>, E>,
     ) -> Result<(Vec<u8>, bool), E> {
+        self.fetch_or_compute(key, true, compute)
+    }
+
+    /// [`Store::get_or_compute`] without touching the hit/miss
+    /// counters, for re-reading values whose lookups were counted when
+    /// they were first asked for (a server rebuilding a finished job's
+    /// rows). A value that no longer reads back is recomputed and
+    /// appended like any other.
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::get_or_compute`].
+    pub fn reread_or_compute<E>(
+        &self,
+        key: u64,
+        compute: impl FnOnce() -> Result<Vec<u8>, E>,
+    ) -> Result<(Vec<u8>, bool), E> {
+        self.fetch_or_compute(key, false, compute)
+    }
+
+    fn fetch_or_compute<E>(
+        &self,
+        key: u64,
+        counted: bool,
+        compute: impl FnOnce() -> Result<Vec<u8>, E>,
+    ) -> Result<(Vec<u8>, bool), E> {
+        let count = |counter: &AtomicU64| {
+            if counted {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        };
         let mut g = self.inner.lock().expect("store lock");
         loop {
             if let Some(v) = g.lookup(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                count(&self.hits);
                 return Ok((v, true));
             }
             if g.inflight.insert(key) {
@@ -533,7 +564,7 @@ impl Store {
         // including a panic unwinding out of `compute`, which would
         // otherwise leave waiters asleep forever.
         let _guard = InflightGuard { store: self, key };
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        count(&self.misses);
         let outcome = compute();
         let mut g = self.inner.lock().expect("store lock");
         let result = match outcome {
