@@ -30,7 +30,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The stable FNV-1a 64-bit hash of a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over more bytes:
+/// `fnv1a(a ++ b) == fnv1a_extend(fnv1a(a), b)`, so a hash over
+/// several pieces needs no buffer joining them.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);

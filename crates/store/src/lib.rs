@@ -22,8 +22,9 @@
 //!   cache-key path); `Record` is the order-free reference it is
 //!   property-tested against.
 //! * [`log`] — the [`Store`]: an append-only on-disk log
-//!   (`<dir>/store.log`) replayed into an in-memory index at open
-//!   (values appended later are read back from the log on lookup),
+//!   (`<dir>/store.log`) read once at open and indexed by offset into
+//!   that one in-memory image (values appended later are read back
+//!   from the log on lookup),
 //!   with write-once dedupe, hit/miss [`StoreStats`], and a
 //!   single-flight [`Store::get_or_compute`] so concurrent requests
 //!   for the same key compute it exactly once.

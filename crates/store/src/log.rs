@@ -23,13 +23,26 @@
 //! content-addressed, so a duplicate key can only carry the same
 //! payload).
 //!
+//! # Replay
+//!
+//! Open reads the log into one buffer, the **image**, and keeps it: the
+//! image is the store's only in-memory copy of the log. Replay indexes
+//! every verified record by its offset in the file, and a lookup slices
+//! the value out of the image, which was verified at open. Values
+//! appended after open lie past the image: a lookup reads such a record
+//! back from the file and re-verifies it, so a long-running server's
+//! memory does not grow with the points it computes.
+//!
+//! A clean log, the common case, is framed by its length fields and its
+//! checksums are then verified on every core. Any framing or checksum
+//! failure falls back to the serial scanner, which resynchronizes
+//! across damage; the two give the same records and the same
+//! [`RecoveryReport`], so the fast path changes only the time open
+//! takes.
+//!
 //! # Recovery
 //!
-//! At open the log is replayed into a `HashMap`. Values appended after
-//! open are not kept in memory: the index remembers where each landed
-//! in the log and reads it back (and re-verifies it) on lookup, so a
-//! long-running server's memory does not grow with the points it
-//! computes. A record that fails
+//! A record that fails
 //! its checksum is **quarantined**: it is left out of the index and the
 //! scanner resynchronizes at the next verifiable record, so one
 //! corrupted record never takes down the records after it. Unparseable
@@ -58,12 +71,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, Write};
+use std::num::NonZeroUsize;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use crate::canon::fnv1a;
+use crate::canon::{fnv1a, fnv1a_extend};
 use crate::fault::{FaultPlan, FaultStats, WriteFault};
 
 /// Log file magic: 7 tag bytes plus one format-version byte.
@@ -76,6 +91,9 @@ pub(crate) const LOG_NAME: &str = "store.log";
 pub(crate) const HEADER_LEN: usize = 20;
 /// Sanity bound on one payload; a larger `len` field is corruption.
 pub(crate) const MAX_PAYLOAD: usize = 1 << 26;
+/// Logs shorter than this verify their checksums on the calling thread;
+/// longer ones split the work across every core.
+const PARALLEL_VERIFY_MIN: usize = 1 << 20;
 
 /// Hit/miss accounting for one store instance (process lifetime, not
 /// persisted).
@@ -112,29 +130,38 @@ impl RecoveryReport {
 }
 
 /// The checksum stored with one record: FNV-1a 64 over the header's
-/// key and length fields plus the payload.
+/// key and length fields plus the payload, hashed in place.
 pub(crate) fn record_sum(key: u64, payload: &[u8]) -> u64 {
-    let mut bytes = Vec::with_capacity(12 + payload.len());
-    bytes.extend_from_slice(&key.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    fnv1a(&bytes)
+    let h = fnv1a(&key.to_le_bytes());
+    let h = fnv1a_extend(h, &(payload.len() as u32).to_le_bytes());
+    fnv1a_extend(h, payload)
+}
+
+/// Appends one version-2 record (header + payload) to `out`.
+fn encode_record_into(out: &mut Vec<u8>, key: u64, payload: &[u8]) {
+    out.extend_from_slice(&key.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&record_sum(key, payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// One version-2 record, encoded (header + payload).
 pub(crate) fn encode_record(key: u64, payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
-    rec.extend_from_slice(&key.to_le_bytes());
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&record_sum(key, payload).to_le_bytes());
-    rec.extend_from_slice(payload);
+    encode_record_into(&mut rec, key, payload);
     rec
 }
 
-/// The result of scanning a whole log body.
+/// A record located in a scanned buffer: `(key, at, len)`, its payload
+/// being `buf[at..at + len]`.
+pub(crate) type Located = (u64, usize, usize);
+
+/// The result of scanning a whole log body held by the caller.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Scan {
-    /// Verified records in file order (duplicates preserved).
-    pub records: Vec<(u64, Vec<u8>)>,
+    /// Verified records in file order (duplicates preserved), located
+    /// in the scanned buffer.
+    pub records: Vec<Located>,
     /// `(offset, bytes)` spans that failed to parse or verify.
     pub spans: Vec<(u64, u64)>,
     /// Format version the magic declared.
@@ -158,33 +185,101 @@ impl Scan {
     }
 }
 
-/// Tries to parse and verify one v2 record at `pos`; returns
-/// `(key, payload, next_pos)` only when the checksum matches.
-fn parse_at(buf: &[u8], pos: usize) -> Option<(u64, &[u8], usize)> {
+/// Frames the v2 record whose header starts at `pos` without checking
+/// its checksum: `Some` when the length is sane and the payload lies
+/// inside `buf`.
+fn frame_at(buf: &[u8], pos: usize) -> Option<Located> {
     let header = buf.get(pos..pos + HEADER_LEN)?;
     let key = u64::from_le_bytes(header[..8].try_into().ok()?);
-    let plen = u32::from_le_bytes(header[8..12].try_into().ok()?) as usize;
-    if plen > MAX_PAYLOAD {
-        return None;
-    }
-    let sum = u64::from_le_bytes(header[12..20].try_into().ok()?);
-    let payload = buf.get(pos + HEADER_LEN..pos + HEADER_LEN + plen)?;
-    (record_sum(key, payload) == sum).then(|| (key, payload, pos + HEADER_LEN + plen))
+    let len = u32::from_le_bytes(header[8..12].try_into().ok()?) as usize;
+    let at = pos + HEADER_LEN;
+    (len <= MAX_PAYLOAD && at + len <= buf.len()).then_some((key, at, len))
 }
 
-/// Scans a version-2 log, resynchronizing after corruption: on a
-/// verification failure the scanner advances byte by byte until the
-/// next verifiable record (a false resync would need an FNV-1a
-/// collision), recording the skipped span. O(span × scan) in the
-/// corrupt case — fine for the log sizes this store carries.
+/// Whether a framed v2 record's payload matches the checksum stored in
+/// the 8 bytes before it.
+fn verifies(buf: &[u8], (key, at, len): Located) -> bool {
+    let sum = u64::from_le_bytes(buf[at - 8..at].try_into().expect("8 bytes"));
+    record_sum(key, &buf[at..at + len]) == sum
+}
+
+/// Tries to parse and verify one v2 record at `pos`; `Some` only when
+/// the checksum matches.
+fn parse_at(buf: &[u8], pos: usize) -> Option<Located> {
+    frame_at(buf, pos).filter(|&rec| verifies(buf, rec))
+}
+
+/// Scans a version-2 log. The fast path frames the records by their
+/// length fields and verifies every checksum, split across `threads`
+/// (see [`verify_threads`]); it succeeds only when the records tile the
+/// whole body and all verify. Otherwise [`scan_v2_serial`] rescans the
+/// log, so the result is always exactly the serial scanner's.
 pub(crate) fn scan_v2(buf: &[u8]) -> Scan {
+    scan_v2_with(buf, verify_threads(buf.len()))
+}
+
+fn scan_v2_with(buf: &[u8], threads: usize) -> Scan {
+    let mut records = Vec::new();
+    let mut pos = MAGIC.len();
+    while pos < buf.len() {
+        let Some(rec @ (_, at, len)) = frame_at(buf, pos) else {
+            return scan_v2_serial(buf);
+        };
+        records.push(rec);
+        pos = at + len;
+    }
+    if !verify_all(buf, &records, threads) {
+        return scan_v2_serial(buf);
+    }
+    Scan {
+        records,
+        spans: Vec::new(),
+        version: 2,
+        len: buf.len() as u64,
+    }
+}
+
+/// How many threads verify a `len`-byte log: one below
+/// [`PARALLEL_VERIFY_MIN`], every available core above it.
+fn verify_threads(len: usize) -> usize {
+    if len < PARALLEL_VERIFY_MIN {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    }
+}
+
+/// Whether every framed record verifies, checked in `threads` chunks of
+/// records (the calling thread takes the first).
+fn verify_all(buf: &[u8], records: &[Located], threads: usize) -> bool {
+    let all = |chunk: &[Located]| chunk.iter().all(|&rec| verifies(buf, rec));
+    if threads <= 1 || records.len() < 2 {
+        return all(records);
+    }
+    let mut chunks = records.chunks(records.len().div_ceil(threads));
+    let first = chunks.next().unwrap_or_default();
+    std::thread::scope(|s| {
+        let rest: Vec<_> = chunks.map(|chunk| s.spawn(move || all(chunk))).collect();
+        let mine = all(first);
+        rest.into_iter().fold(mine, |ok, h| {
+            h.join().expect("verifying a framed record cannot panic") && ok
+        })
+    })
+}
+
+/// Scans a version-2 log one record at a time, resynchronizing after
+/// corruption: on a verification failure the scanner advances byte by
+/// byte until the next verifiable record (a false resync would need an
+/// FNV-1a collision), recording the skipped span. O(span × scan) in the
+/// corrupt case — fine for the log sizes this store carries.
+pub(crate) fn scan_v2_serial(buf: &[u8]) -> Scan {
     let mut records = Vec::new();
     let mut spans: Vec<(u64, u64)> = Vec::new();
     let mut pos = MAGIC.len();
     while pos < buf.len() {
-        if let Some((key, payload, next)) = parse_at(buf, pos) {
-            records.push((key, payload.to_vec()));
-            pos = next;
+        if let Some(rec @ (_, at, len)) = parse_at(buf, pos) {
+            records.push(rec);
+            pos = at + len;
         } else {
             let start = pos;
             pos += 1;
@@ -210,10 +305,10 @@ pub(crate) fn scan_v1(buf: &[u8]) -> Scan {
     while let Some(header) = buf.get(pos..pos + 12) {
         let key = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
         let plen = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
-        let Some(payload) = buf.get(pos + 12..pos + 12 + plen) else {
+        if buf.len() < pos + 12 + plen {
             break;
-        };
-        records.push((key, payload.to_vec()));
+        }
+        records.push((key, pos + 12, plen));
         pos += 12 + plen;
     }
     let mut spans = Vec::new();
@@ -228,15 +323,17 @@ pub(crate) fn scan_v1(buf: &[u8]) -> Scan {
     }
 }
 
-/// Encodes a full version-2 log (magic + records), deduplicating keys
-/// (first write wins). Returns the bytes and the duplicate count.
-pub(crate) fn rewrite_bytes(records: &[(u64, Vec<u8>)]) -> (Vec<u8>, usize) {
-    let mut out = MAGIC.to_vec();
+/// Encodes a full version-2 log (magic + the `records` located in
+/// `buf`), deduplicating keys (first write wins). Returns the bytes and
+/// the duplicate count.
+pub(crate) fn rewrite_bytes(buf: &[u8], records: &[Located]) -> (Vec<u8>, usize) {
+    let mut out = Vec::with_capacity(MAGIC.len() + buf.len() + 8 * records.len());
+    out.extend_from_slice(MAGIC);
     let mut seen = HashSet::new();
     let mut duplicates = 0;
-    for (key, payload) in records {
-        if seen.insert(*key) {
-            out.extend_from_slice(&encode_record(*key, payload));
+    for &(key, at, len) in records {
+        if seen.insert(key) {
+            encode_record_into(&mut out, key, &buf[at..at + len]);
         } else {
             duplicates += 1;
         }
@@ -257,17 +354,23 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 /// Where an indexed value lives.
 enum Slot {
-    /// In memory: values replayed at open, every value of an in-memory
-    /// store, and values whose log copy failed to append or was
-    /// corrupted by an injected bit flip.
+    /// In memory on its own: every value of an in-memory store, and
+    /// values whose log copy failed to append or was corrupted by an
+    /// injected bit flip.
     Mem(Vec<u8>),
-    /// The record this process appended at file offset `at`, read back
-    /// and re-verified on every lookup.
+    /// The log record at file offset `at` with a `len`-byte payload.
+    /// Inside the image it was verified at open and is sliced from
+    /// memory; past it (appended since open) it is read back from the
+    /// file and re-verified on every lookup.
     Log { at: u64, len: u32 },
 }
 
 struct Inner {
     index: HashMap<u64, Slot>,
+    /// The log as open read it, cut back to its last verified record:
+    /// the bytes every replayed [`Slot::Log`] points into. Empty for
+    /// in-memory stores.
+    image: Vec<u8>,
     /// Keys currently being computed by some thread (single-flight).
     inflight: HashSet<u64>,
     /// Append handle; `None` for in-memory stores.
@@ -302,6 +405,7 @@ impl Store {
         Store {
             inner: Mutex::new(Inner {
                 index: HashMap::new(),
+                image: Vec::new(),
                 inflight: HashSet::new(),
                 file: None,
                 faults: None,
@@ -315,9 +419,9 @@ impl Store {
     }
 
     /// Opens (creating if necessary) the store rooted at `dir`,
-    /// replaying `store.log` into the in-memory index. Corrupt records
-    /// are quarantined and a torn tail trimmed (see the
-    /// [module docs](self)); [`Store::recovery`] reports both.
+    /// replaying `store.log` into the in-memory index over the log's
+    /// image. Corrupt records are quarantined and a torn tail trimmed
+    /// (see the [module docs](self)); [`Store::recovery`] reports both.
     ///
     /// # Errors
     ///
@@ -343,25 +447,25 @@ impl Store {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LOG_NAME);
         let mut recovery = RecoveryReport::default();
-        let mut raw = match std::fs::read(&path) {
+        let mut image = match std::fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        if !raw.is_empty() {
-            if raw.len() < MAGIC.len() || (&raw[..8] != MAGIC && &raw[..8] != MAGIC_V1) {
+        if !image.is_empty() {
+            if image.len() < MAGIC.len() || (&image[..8] != MAGIC && &image[..8] != MAGIC_V1) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("{} is not a bftbcast store log (bad magic)", path.display()),
                 ));
             }
-            if &raw[..8] == MAGIC_V1 {
+            if &image[..8] == MAGIC_V1 {
                 // A pre-checksum log: replay with the old rules and
                 // rewrite in place as version 2, atomically.
-                let scan = scan_v1(&raw);
-                let (bytes, _) = rewrite_bytes(&scan.records);
+                let scan = scan_v1(&image);
+                let (bytes, _) = rewrite_bytes(&image, &scan.records);
                 write_atomic(&path, &bytes)?;
-                raw = bytes;
+                image = bytes;
                 recovery.migrated_from_v1 = true;
             }
         }
@@ -369,23 +473,37 @@ impl Store {
         // log (the magic always survives so the store still opens).
         let mut read_faulted = false;
         if let Some(plan) = faults.as_mut() {
-            if let Some(keep) = plan.next_read(raw.len()) {
-                let floor = raw.len().min(MAGIC.len());
-                raw.truncate(keep.max(floor));
+            if let Some(keep) = plan.next_read(image.len()) {
+                let floor = image.len().min(MAGIC.len());
+                image.truncate(keep.max(floor));
                 read_faulted = true;
             }
         }
         let mut index = HashMap::new();
-        let mut good_end = raw.len() as u64;
-        if !raw.is_empty() {
-            let scan = scan_v2(&raw);
+        let mut good_end = image.len() as u64;
+        if !image.is_empty() {
+            let scan = scan_v2(&image);
             recovery.quarantined_spans = scan.mid_spans();
             recovery.quarantined_bytes =
                 scan.spans.iter().map(|s| s.1).sum::<u64>() - scan.tail_bytes();
             good_end = scan.len - scan.tail_bytes();
-            for (key, payload) in scan.records {
-                index.insert(key, Slot::Mem(payload));
+            index.reserve(scan.records.len());
+            // Duplicate keys: the last record wins (content addressing
+            // makes every copy the same payload).
+            for (key, at, len) in scan.records {
+                let at = (at - HEADER_LEN) as u64;
+                index.insert(
+                    key,
+                    Slot::Log {
+                        at,
+                        len: len as u32,
+                    },
+                );
             }
+            // Appends land at the file's end, which the trim below can
+            // move back to `good_end`: cut the image there too, so no
+            // appended record is mistaken for a replayed one.
+            image.truncate(good_end as usize);
         }
         // O_APPEND: every record lands at the file's *current* end, so
         // two processes sharing a store directory interleave whole
@@ -412,6 +530,7 @@ impl Store {
         Ok(Store {
             inner: Mutex::new(Inner {
                 index,
+                image,
                 inflight: HashSet::new(),
                 file: Some(file),
                 faults,
@@ -673,20 +792,27 @@ fn append_record(g: &mut Inner, key: u64, value: &[u8]) -> io::Result<()> {
 }
 
 impl Inner {
-    /// The value under `key`. A log record that no longer verifies
-    /// (damaged on disk since it was appended) drops its entry and
-    /// reads as absent, so the caller recomputes it.
+    /// The value under `key`. A replayed value is sliced from the image.
+    /// An appended record is read back with one positioned read and
+    /// re-verified; one that no longer verifies (damaged on disk since
+    /// it was appended) drops its entry and reads as absent, so the
+    /// caller recomputes it.
     fn lookup(&mut self, key: u64) -> Option<Vec<u8>> {
         let (at, len) = match self.index.get(&key)? {
             Slot::Mem(v) => return Some(v.clone()),
             Slot::Log { at, len } => (*at, *len as usize),
         };
-        let (file, mut rec) = (self.file.as_mut()?, vec![0; HEADER_LEN + len]);
-        let read = file
-            .seek(SeekFrom::Start(at))
-            .and_then(|_| file.read_exact(&mut rec));
-        match (read, parse_at(&rec, 0)) {
-            (Ok(()), Some((k, payload, _))) if k == key => Some(payload.to_vec()),
+        let start = at as usize + HEADER_LEN;
+        if let Some(value) = self.image.get(start..start + len) {
+            return Some(value.to_vec());
+        }
+        let mut rec = vec![0; HEADER_LEN + len];
+        let read = self.file.as_ref()?.read_exact_at(&mut rec, at);
+        match read.ok().and_then(|()| parse_at(&rec, 0)) {
+            Some((k, _, n)) if k == key && n == len => {
+                rec.drain(..HEADER_LEN);
+                Some(rec)
+            }
             _ => {
                 self.index.remove(&key);
                 None
@@ -698,8 +824,209 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+
+    /// A v2 log holding `records` in order (duplicates kept).
+    fn log_of<'a>(records: impl IntoIterator<Item = (u64, &'a [u8])>) -> Vec<u8> {
+        let mut log = MAGIC.to_vec();
+        for (key, payload) in records {
+            encode_record_into(&mut log, key, payload);
+        }
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The checksum hashes the record in place, and is exactly
+        /// FNV-1a over `key_le ++ len_le ++ payload`: the on-disk
+        /// format.
+        #[test]
+        fn record_sum_is_fnv1a_of_key_len_and_payload(
+            key in any::<u64>(),
+            payload in vec(any::<u8>(), 0..600),
+        ) {
+            let mut joined = key.to_le_bytes().to_vec();
+            joined.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            joined.extend_from_slice(&payload);
+            prop_assert_eq!(record_sum(key, &payload), fnv1a(&joined));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The framed, chunk-verified scan is the serial scan: on any
+        /// log, damaged or not, and split over any number of threads,
+        /// it finds the same records and the same spans.
+        #[test]
+        fn fast_scan_equals_the_serial_scan(
+            records in vec((0u64..12, vec(any::<u8>(), 0..200)), 0..24),
+            cut in any::<u64>(),
+            flips in vec((any::<u64>(), 1u8..=255), 0..3),
+            splice in vec(any::<u8>(), 0..40),
+            threads in 1usize..5,
+        ) {
+            let clean = log_of(records.iter().map(|(k, p)| (*k, p.as_slice())));
+            prop_assert_eq!(scan_v2_with(&clean, threads), scan_v2_serial(&clean));
+            let mut raw = clean.clone();
+            let body = raw.len() - MAGIC.len();
+            raw.truncate(MAGIC.len() + cut as usize % (body + 1));
+            let at = MAGIC.len() + cut as usize % (raw.len() - MAGIC.len() + 1);
+            raw.splice(at..at, splice);
+            for (pos, mask) in flips {
+                if raw.len() > MAGIC.len() {
+                    let i = MAGIC.len() + pos as usize % (raw.len() - MAGIC.len());
+                    raw[i] ^= mask;
+                }
+            }
+            prop_assert_eq!(scan_v2_with(&raw, threads), scan_v2_serial(&raw));
+        }
+    }
+
+    /// Every chunk's verdict counts: a bad record in any chunk fails the
+    /// threaded verification.
+    #[test]
+    fn threaded_verify_catches_a_bad_record_in_any_chunk() {
+        let payloads: Vec<Vec<u8>> = (0..10u8).map(|k| vec![k; 50]).collect();
+        let clean = log_of(payloads.iter().enumerate().map(|(k, p)| (k as u64, &p[..])));
+        let framed = scan_v2_serial(&clean).records;
+        assert!(verify_all(&clean, &framed, 3));
+        for &(_, at, _) in &framed {
+            let mut bad = clean.clone();
+            bad[at] ^= 1;
+            assert!(!verify_all(&bad, &framed, 3), "flip at {at} missed");
+        }
+    }
+
+    /// A corrupted length field misframes every record after it: the
+    /// fast path gives up, and the serial scanner quarantines exactly
+    /// the damaged record and keeps the rest.
+    #[test]
+    fn misframing_length_falls_back_and_quarantines_the_same_span() {
+        let dir = temp_dir("misframe");
+        {
+            let s = Store::open(&dir).unwrap();
+            for k in 0..4u64 {
+                s.put(k, format!("value-{k}").as_bytes()).unwrap();
+            }
+        }
+        let path = dir.join(LOG_NAME);
+        let mut raw = std::fs::read(&path).unwrap();
+        let rec = HEADER_LEN + b"value-0".len();
+        let second = MAGIC.len() + rec;
+        raw[second + 8] += 3; // record 1 claims 10 payload bytes, not 7
+        std::fs::write(&path, &raw).unwrap();
+        let serial = scan_v2_serial(&raw);
+        assert_eq!(serial.spans, vec![(second as u64, rec as u64)]);
+        assert_eq!(scan_v2_with(&raw, 2), serial);
+        let s = Store::open(&dir).unwrap();
+        let report = s.recovery();
+        assert_eq!(
+            (report.quarantined_spans, report.quarantined_bytes),
+            (1, rec as u64)
+        );
+        assert_eq!(s.get(1), None);
+        for k in [0u64, 2, 3] {
+            assert_eq!(s.get(k), Some(format!("value-{k}").into_bytes()));
+        }
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A key logged twice (two writers interleaving) indexes its last
+    /// record, on a log long enough to verify on several threads.
+    #[test]
+    fn duplicate_keys_keep_the_last_record() {
+        let dir = temp_dir("dupes");
+        std::fs::create_dir_all(&dir).unwrap();
+        let filler = vec![7u8; PARALLEL_VERIFY_MIN / 16];
+        let mut records: Vec<(u64, &[u8])> = vec![(5, b"first"), (6, b"six")];
+        records.extend((100..120u64).map(|k| (k, filler.as_slice())));
+        records.push((5, b"second"));
+        std::fs::write(dir.join(LOG_NAME), log_of(records)).unwrap();
+        let s = Store::open(&dir).unwrap();
+        assert!(s.recovery().is_clean());
+        assert_eq!(s.len(), 22);
+        assert_eq!(s.get(5).as_deref(), Some(&b"second"[..]));
+        assert_eq!(s.get(6).as_deref(), Some(&b"six"[..]));
+        assert_eq!(s.get(119).as_deref(), Some(filler.as_slice()));
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Replayed values come from the image and appended ones from the
+    /// file; no value is copied out at open, and a bit flip on disk in
+    /// an appended record still reads as a miss.
+    #[test]
+    fn image_and_appended_values_are_both_served() {
+        let dir = temp_dir("mixed");
+        {
+            let s = Store::open(&dir).unwrap();
+            for k in 0..3u64 {
+                s.put(k, format!("replayed-{k}").as_bytes()).unwrap();
+            }
+        }
+        let s = Store::open(&dir).unwrap();
+        let image_len = {
+            let g = s.inner.lock().unwrap();
+            assert!(g
+                .index
+                .values()
+                .all(|slot| matches!(slot, Slot::Log { .. })));
+            g.image.len()
+        };
+        assert_eq!(
+            image_len as u64,
+            std::fs::metadata(dir.join(LOG_NAME)).unwrap().len()
+        );
+        for k in 3..6u64 {
+            s.put(k, format!("appended-{k}").as_bytes()).unwrap();
+        }
+        for k in 0..6u64 {
+            let want = if k < 3 { "replayed" } else { "appended" };
+            assert_eq!(s.get(k), Some(format!("{want}-{k}").into_bytes()));
+        }
+        let path = dir.join(LOG_NAME);
+        let mut raw = std::fs::read(&path).unwrap();
+        let fifth = image_len + (HEADER_LEN + b"appended-3".len()) + HEADER_LEN;
+        raw[fifth] ^= 0x08; // a payload byte of key 4
+        std::fs::write(&path, &raw).unwrap();
+        assert_eq!(s.get(4), None, "damaged appended record is not served");
+        for k in [0u64, 1, 2, 3, 5] {
+            assert!(s.get(k).is_some(), "key {k}");
+        }
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// After a torn tail is trimmed, the next append lands where the
+    /// torn bytes were; it is read back from the file, never from the
+    /// stale bytes open read there.
+    #[test]
+    fn appends_over_a_trimmed_tail_read_back_from_the_file() {
+        let dir = temp_dir("retail");
+        {
+            let s = Store::open(&dir).unwrap();
+            s.put(1, b"good").unwrap();
+        }
+        let path = dir.join(LOG_NAME);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&2u64.to_le_bytes()).unwrap();
+        f.write_all(&500u32.to_le_bytes()).unwrap();
+        f.write_all(&[0xAB; 200]).unwrap();
+        drop(f);
+        let s = Store::open(&dir).unwrap();
+        assert!(s.recovery().trimmed_tail_bytes > 0);
+        assert!(s.put(2, b"retry").unwrap());
+        assert_eq!(s.get(2).as_deref(), Some(&b"retry"[..]));
+        assert_eq!(s.get(1).as_deref(), Some(&b"good"[..]));
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =

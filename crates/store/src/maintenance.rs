@@ -112,8 +112,9 @@ impl std::fmt::Display for RepairReport {
 }
 
 /// Reads and scans a store directory's log; an absent log scans as an
-/// empty clean v2 log.
-pub(crate) fn scan_any(dir: &Path) -> io::Result<Scan> {
+/// empty clean v2 log. Returns the log bytes with the scan that
+/// locates its records in them.
+pub(crate) fn scan_any(dir: &Path) -> io::Result<(Vec<u8>, Scan)> {
     let path = dir.join(LOG_NAME);
     let raw = match std::fs::read(&path) {
         Ok(bytes) => bytes,
@@ -126,16 +127,17 @@ pub(crate) fn scan_any(dir: &Path) -> io::Result<Scan> {
             format!("{} is not a bftbcast store log (too short)", path.display()),
         ));
     }
-    if &raw[..8] == MAGIC {
-        Ok(scan_v2(&raw))
+    let scan = if &raw[..8] == MAGIC {
+        scan_v2(&raw)
     } else if &raw[..8] == MAGIC_V1 {
-        Ok(scan_v1(&raw))
+        scan_v1(&raw)
     } else {
-        Err(io::Error::new(
+        return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{} is not a bftbcast store log (bad magic)", path.display()),
-        ))
-    }
+        ));
+    };
+    Ok((raw, scan))
 }
 
 fn report_from(scan: &Scan) -> FsckReport {
@@ -162,7 +164,7 @@ fn report_from(scan: &Scan) -> FsckReport {
 /// A dirty log (corruption, torn tail, or stale v1 format) — the error
 /// message is the fsck report — or an unreadable/foreign file.
 pub fn fsck(dir: impl AsRef<Path>) -> io::Result<FsckReport> {
-    let report = report_from(&scan_any(dir.as_ref())?);
+    let report = report_from(&scan_any(dir.as_ref())?.1);
     if report.is_clean() {
         Ok(report)
     } else {
@@ -181,11 +183,11 @@ pub fn fsck(dir: impl AsRef<Path>) -> io::Result<FsckReport> {
 ///
 /// Only unreadable or foreign (bad magic) files.
 pub fn fsck_report(dir: impl AsRef<Path>) -> io::Result<FsckReport> {
-    Ok(report_from(&scan_any(dir.as_ref())?))
+    Ok(report_from(&scan_any(dir.as_ref())?.1))
 }
 
 fn rewrite(dir: &Path, force: bool) -> io::Result<RepairReport> {
-    let scan = scan_any(dir)?;
+    let (raw, scan) = scan_any(dir)?;
     let before = report_from(&scan);
     if before.is_clean() && !force {
         return Ok(RepairReport {
@@ -193,7 +195,7 @@ fn rewrite(dir: &Path, force: bool) -> io::Result<RepairReport> {
             ..RepairReport::default()
         });
     }
-    let (bytes, duplicates) = rewrite_bytes(&scan.records);
+    let (bytes, duplicates) = rewrite_bytes(&raw, &scan.records);
     write_atomic(&dir.join(LOG_NAME), &bytes)?;
     Ok(RepairReport {
         before,

@@ -86,15 +86,15 @@ impl Store {
     /// An unreadable or foreign (bad magic) source log, or I/O
     /// failures appending to this store's log.
     pub fn merge_from(&self, src: impl AsRef<Path>) -> io::Result<MergeReport> {
-        let scan = scan_any(src.as_ref())?;
+        let (raw, scan) = scan_any(src.as_ref())?;
         let mut report = MergeReport {
             scanned: scan.records.len(),
             skipped_spans: scan.spans.len(),
             skipped_bytes: scan.spans.iter().map(|s| s.1).sum(),
             ..MergeReport::default()
         };
-        for (key, payload) in &scan.records {
-            if self.put(*key, payload)? {
+        for &(key, at, len) in &scan.records {
+            if self.put(key, &raw[at..at + len])? {
                 report.imported += 1;
             } else {
                 report.duplicates += 1;

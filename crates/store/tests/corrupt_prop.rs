@@ -8,7 +8,9 @@
 //! This is the disk-side mirror of `canon_prop.rs`: that suite pins the
 //! keys, this one pins the log.
 
-use bftbcast_store::{fsck_report, repair, Store};
+use std::collections::HashMap;
+
+use bftbcast_store::{fnv1a, fsck_report, repair, RecoveryReport, Store};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -66,8 +68,112 @@ fn assert_recovers(dir: &std::path::Path, n: u64) {
     }
 }
 
+/// One v2 record as the format defines it: `key u64 LE | len u32 LE |
+/// sum u64 LE | payload`, `sum` being FNV-1a over the first 12 header
+/// bytes and the payload.
+fn encode(key: u64, payload: &[u8]) -> Vec<u8> {
+    let mut head = key.to_le_bytes().to_vec();
+    head.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut summed = head.clone();
+    summed.extend_from_slice(payload);
+    head.extend_from_slice(&fnv1a(&summed).to_le_bytes());
+    head.extend_from_slice(payload);
+    head
+}
+
+/// The serial replay, written from the format alone: take a verified
+/// record where one starts, otherwise skip byte by byte to the next
+/// verifiable one and count the skipped span; a span reaching EOF is
+/// the torn tail. Later records win a repeated key. (The store's bound
+/// on a payload's length never decides here: these logs are far
+/// shorter than it.)
+fn reference_replay(raw: &[u8]) -> (HashMap<u64, Vec<u8>>, RecoveryReport) {
+    let verified = |pos: usize| -> Option<(u64, &[u8])> {
+        let header = raw.get(pos..pos + 20)?;
+        let key = u64::from_le_bytes(header[..8].try_into().unwrap());
+        let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+        let payload = raw.get(pos + 20..pos + 20 + len)?;
+        (encode(key, payload)[..20] == *header).then_some((key, payload))
+    };
+    let (mut map, mut spans) = (HashMap::new(), Vec::new());
+    let mut pos = 8;
+    while pos < raw.len() {
+        if let Some((key, payload)) = verified(pos) {
+            map.insert(key, payload.to_vec());
+            pos += 20 + payload.len();
+        } else {
+            let start = pos;
+            pos += 1;
+            while pos < raw.len() && verified(pos).is_none() {
+                pos += 1;
+            }
+            spans.push((start, pos - start));
+        }
+    }
+    let tail = match spans.last() {
+        Some(&(start, n)) if start + n == raw.len() => n,
+        _ => 0,
+    };
+    let report = RecoveryReport {
+        quarantined_spans: spans.len() - usize::from(tail > 0),
+        quarantined_bytes: (spans.iter().map(|s| s.1).sum::<usize>() - tail) as u64,
+        trimmed_tail_bytes: tail as u64,
+        migrated_from_v1: false,
+    };
+    (map, report)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Open replays exactly what the serial reference replays, however
+    /// the log is damaged: the same recovery report and the same key →
+    /// payload map. Logs have repeated keys, empty payloads and, when
+    /// `big`, enough bytes to verify on several threads.
+    #[test]
+    fn open_matches_the_serial_reference_under_damage(
+        records in vec((0u64..24, vec(any::<u8>(), 0..1500)), 1..40),
+        big in any::<bool>(),
+        damage in 0u8..8,
+        cut in any::<u64>(),
+        flips in vec((any::<u64>(), 1u8..=255), 1..6),
+        garbage in vec(any::<u8>(), 1..64),
+        tag in any::<u64>(),
+    ) {
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut raw = b"BFTBSTR\x02".to_vec();
+        for (key, mut payload) in records {
+            if big {
+                payload.resize(payload.len() + 40_000, 0);
+            }
+            raw.extend_from_slice(&encode(key, &payload));
+        }
+        // Damage stays past the magic, which is format identity.
+        if damage & 1 != 0 {
+            raw.truncate(8 + cut as usize % (raw.len() - 8 + 1));
+        }
+        if damage & 2 != 0 {
+            let i = 8 + cut.rotate_left(32) as usize % (raw.len() - 8 + 1);
+            raw.splice(i..i, garbage);
+        }
+        if damage & 4 != 0 && raw.len() > 8 {
+            for (pos, mask) in flips {
+                let i = 8 + pos as usize % (raw.len() - 8);
+                raw[i] ^= mask;
+            }
+        }
+        std::fs::write(dir.join("store.log"), &raw).unwrap();
+        let (map, report) = reference_replay(&raw);
+        let s = Store::open(&dir).unwrap();
+        prop_assert_eq!(s.recovery(), report);
+        prop_assert_eq!(s.len(), map.len());
+        for (key, payload) in &map {
+            prop_assert!(s.get(*key).as_ref() == Some(payload), "key {key} differs");
+        }
+        drop(s);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     /// Truncating the log at any byte boundary recovers a valid prefix
     /// (or errors on a destroyed magic) — the crash-mid-append case at

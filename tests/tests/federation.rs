@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bftbcast::{BatchOptions, ScenarioFile};
-use bftbcast_federate::{run_with, Arrival, FederateOptions};
+use bftbcast_federate::{assign, run_with, Arrival, FederateOptions};
 use bftbcast_server::{client, Server};
 use bftbcast_store::merge::merge;
 use bftbcast_store::Store;
@@ -111,11 +111,15 @@ fn sharded_sweep_merges_back_into_one_warm_store() {
         completed, report.points,
         "every point answered exactly once"
     );
-    assert!(
-        report.backends.iter().filter(|b| b.completed > 0).count() >= 2,
-        "rendezvous should spread a 5-point sweep over several backends: {:?}",
-        report.backends
-    );
+    // Each backend answered exactly the points rendezvous hashing
+    // assigns it over these (ephemeral) addresses.
+    let names: Vec<&str> = addrs.iter().map(String::as_str).collect();
+    let mut expected_share = vec![0usize; addrs.len()];
+    for spec in file.specs().unwrap() {
+        expected_share[assign(spec.cache_key(), &names).unwrap()] += 1;
+    }
+    let share: Vec<usize> = report.backends.iter().map(|b| b.completed).collect();
+    assert_eq!(share, expected_share, "{:?}", report.backends);
 
     // Drain the backends (shutdown fsyncs each shard store) and merge
     // the shards into a single fresh store.
