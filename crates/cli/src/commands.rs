@@ -51,8 +51,8 @@ impl From<bftbcast::net::NetError> for CliError {
     }
 }
 
-/// The top-level usage text.
-pub const USAGE: &str = "\
+/// The top-level usage text ([`usage`] fills in the sweep axes).
+const USAGE: &str = "\
 bftbcast — message-efficient Byzantine fault-tolerant broadcast (ICDCS 2010)
 
 USAGE:
@@ -72,10 +72,9 @@ COMMANDS:
              --jobs), and stream one JSON line (or table row) per point;
              with --store, consult/record the content-addressed outcome
              store so repeated points cost a lookup instead of a run;
-             each --set pins one field by sweep-axis name (m, quorum,
-             t, mf, seed, count, p, k, mmax, p1, pe, protocol,
-             payload) before the sweep expands, dropping any [sweep]
-             axis over the same key;
+             each --set pins one field by sweep-axis name before the
+             sweep expands, dropping any [sweep] axis over the same
+             key; the axes are {axes};
              see docs/ARCHITECTURE.md for the grammar and EXPERIMENTS.md
              for the output schema
   spec       FILE [--to scn|json|key]: convert engine specs between the
@@ -164,6 +163,13 @@ COMMANDS:
 
 Every run is deterministic given --seed.";
 
+/// The top-level usage text, naming every sweep axis `--set` takes.
+pub fn usage() -> String {
+    let names = bftbcast::scenario_file::axis_names();
+    let lines: Vec<String> = names.chunks(8).map(|line| line.join(", ")).collect();
+    USAGE.replace("{axes}", &lines.join(",\n             "))
+}
+
 /// Dispatches a parsed command line.
 ///
 /// # Errors
@@ -171,7 +177,7 @@ Every run is deterministic given --seed.";
 /// Any [`CliError`]; the binary prints it and exits non-zero.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
     match args.command.as_deref() {
-        None | Some("help") => Ok(USAGE.to_string()),
+        None | Some("help") => Ok(usage()),
         Some("bounds") => cmd_bounds(args),
         Some("run") => cmd_run(args),
         Some("spec") => cmd_spec(args),
@@ -409,64 +415,24 @@ fn store_from(args: &Args) -> Result<Option<bftbcast_store::Store>, CliError> {
     }
 }
 
-/// One `--set key=value` override: the value is an integer or float in
-/// the sweep-axis vocabulary, or a name for one of the rbc string axes
-/// (`protocol`, `schedule`, `behavior`).
-fn parse_set(raw: &str) -> Result<(&str, bftbcast::scenario_file::AxisValue), CliError> {
-    use bftbcast::scenario_file::AxisValue;
-    let Some((key, value)) = raw.split_once('=') else {
-        return Err(CliError::Other(format!(
-            "--set {raw:?}: expected key=value (e.g. --set seed=7)"
-        )));
-    };
-    let value = if key == "protocol" {
-        match bftbcast::rbc::RbcProtocol::from_name(value) {
-            Some(p) => AxisValue::Name(p.name()),
-            None => {
-                return Err(CliError::Other(format!(
-                    "--set {raw:?}: unknown protocol {value:?} (counting|bracha|ctrbc)"
-                )))
-            }
-        }
-    } else if key == "schedule" {
-        match bftbcast::rbc::ScheduleKind::from_name(value) {
-            Some(s) => AxisValue::Name(s.name()),
-            None => {
-                return Err(CliError::Other(format!(
-                    "--set {raw:?}: unknown schedule {value:?} \
-                     (seeded|fifo|delay_quorum|targeted_reorder|gst)"
-                )))
-            }
-        }
-    } else if key == "behavior" {
-        match bftbcast::rbc::ByzantineBehavior::from_name(value) {
-            Some(b) => AxisValue::Name(b.name()),
-            None => {
-                return Err(CliError::Other(format!(
-                    "--set {raw:?}: unknown behavior {value:?} \
-                     (mute|equivocate|selective_send|stale_replay)"
-                )))
-            }
-        }
-    } else if let Ok(i) = value.parse::<i64>() {
-        AxisValue::Int(i)
-    } else if let Ok(f) = value.parse::<f64>() {
-        AxisValue::Float(f)
-    } else {
-        return Err(CliError::Other(format!(
-            "--set {raw:?}: value {value:?} is not a number"
-        )));
-    };
-    Ok((key, value))
-}
-
 /// `run --scenario FILE`: the declarative batch path.
 fn cmd_run_scenario(path: &str, args: &Args) -> Result<String, CliError> {
+    use bftbcast::scenario_file::AxisValue;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Other(format!("reading {path}: {e}")))?;
     let mut file = ScenarioFile::parse(&text)?;
     for raw in args.get_all("set") {
-        let (key, value) = parse_set(raw)?;
+        let Some((key, value)) = raw.split_once('=') else {
+            return Err(CliError::Other(format!(
+                "--set {raw:?}: expected key=value (e.g. --set seed=7)"
+            )));
+        };
+        // An integer, else a float, else a name; the axis checks the type.
+        let value = match (value.parse(), value.parse()) {
+            (Ok(i), _) => AxisValue::Int(i),
+            (_, Ok(f)) => AxisValue::Float(f),
+            _ => AxisValue::Str(value.to_string()),
+        };
         file.override_base(key, value)?;
     }
     let jobs = jobs_from(args)?;
@@ -1340,6 +1306,37 @@ mod tests {
         }
         // --set without --scenario has nothing to override.
         assert!(run(&["run", "--set", "m=8"]).is_err());
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The help lists exactly the sweep axes `--set` takes, read from
+    /// the field table.
+    #[test]
+    fn help_names_every_sweep_axis() {
+        let usage = run(&["help"]).unwrap();
+        let listed = usage
+            .split("the axes are ")
+            .nth(1)
+            .and_then(|rest| rest.split(';').next())
+            .expect("the usage lists the axes");
+        let listed: Vec<&str> = listed.split(',').map(str::trim).collect();
+        assert_eq!(listed, bftbcast::scenario_file::axis_names());
+        for axis in ["schedule", "behavior", "payload", "mmax", "p1"] {
+            assert!(listed.contains(&axis), "{axis} missing from {listed:?}");
+        }
+    }
+
+    /// `--set` over an axis the engine does not read fails before the
+    /// run, naming the axis.
+    #[test]
+    fn run_scenario_set_rejects_an_inapplicable_axis_by_name() {
+        let path = std::env::temp_dir().join("bftbcast_cli_test_set_inapplicable.scn");
+        std::fs::write(&path, "[topology]\nside = 15\nr = 1\n").unwrap();
+        let p = path.to_str().unwrap();
+        let err = run(&["run", "--scenario", p, "--set", "payload=5"]).unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("sweep.payload"), "{text}");
+        assert!(text.contains("does not apply to engine"), "{text}");
         std::fs::remove_file(path).ok();
     }
 

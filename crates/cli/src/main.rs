@@ -1,5 +1,5 @@
 //! The `bftbcast` binary: a thin shell over
-//! [`bftbcast_cli::commands::dispatch`]. See `commands::USAGE`.
+//! [`bftbcast_cli::commands::dispatch`]. See `commands::usage`.
 
 #![forbid(unsafe_code)]
 

@@ -117,7 +117,7 @@ pub fn run_point(file: &ScenarioFile, point: &PointSpec) -> Result<PointResult, 
     // (possibly expensive) run as a backstop against hand-built files.
     for &(x, y) in &file.probes {
         let grid = engine.topology().grid();
-        crate::scenario_file::check_probe_cell(x, y, grid.width(), grid.height())?;
+        crate::spec::check_probe_cell(x, y, grid.width(), grid.height())?;
     }
     let outcome = engine.run_to_completion();
     let mut probes = Vec::with_capacity(file.probes.len());

@@ -24,16 +24,12 @@
 //! stop matching instead of being misread.
 
 use bftbcast_net::Value;
-use bftbcast_sim::crash::CrashBehavior;
 use bftbcast_sim::engine::{EngineOutcome, Probe};
 use bftbcast_sim::metrics::{CountingOutcome, RbcOutcome, ReactiveOutcome};
-use bftbcast_store::CanonWriter;
 
 use crate::batch::{PointResult, ProbeResult};
-use crate::scenario_file::{
-    CrashNodesSpec, CrashSpec, EngineKind, PlacementSpec, PointSpec, ProtocolSpec,
-};
-use crate::spec::{agreement_mode_name, reactive_adversary_name};
+use crate::fields::{self, Doc};
+use crate::scenario_file::{EngineKind, PointSpec};
 
 /// Version of both the key record and the result encoding. Bump on any
 /// schema change; old entries then miss instead of misdecoding.
@@ -46,67 +42,6 @@ use crate::spec::{agreement_mode_name, reactive_adversary_name};
 /// codec.
 pub const CACHE_SCHEMA_VERSION: u16 = 3;
 
-/// Writes `cells` as a list of `{x, y}` records.
-fn cells_list<'w>(w: &'w mut CanonWriter, name: &str, cells: &[(u32, u32)]) -> &'w mut CanonWriter {
-    w.list(name, CACHE_SCHEMA_VERSION, cells, |w, &(x, y)| {
-        w.u64("x", u64::from(x)).u64("y", u64::from(y));
-    })
-}
-
-fn placement_record(w: &mut CanonWriter, placement: &PlacementSpec) {
-    match placement {
-        PlacementSpec::None => w.str("kind", "none"),
-        PlacementSpec::Lattice { offset } => {
-            w.str("kind", "lattice").u64("offset", u64::from(*offset))
-        }
-        PlacementSpec::Stripes(stripes) => w.str("kind", "stripes").list(
-            "stripes",
-            CACHE_SCHEMA_VERSION,
-            stripes,
-            |w, &(y0, t, above)| {
-                w.bool("above", above)
-                    .u64("t", u64::from(t))
-                    .u64("y0", u64::from(y0));
-            },
-        ),
-        PlacementSpec::Random { count } => w.u64("count", *count as u64).str("kind", "random"),
-        PlacementSpec::Bernoulli { p } => w.str("kind", "bernoulli").f64("p", *p),
-        PlacementSpec::Explicit(cells) => cells_list(w.str("kind", "explicit"), "nodes", cells),
-    };
-}
-
-fn protocol_record(w: &mut CanonWriter, protocol: &ProtocolSpec) {
-    match protocol {
-        ProtocolSpec::B => w.str("kind", "b"),
-        ProtocolSpec::Koo => w.str("kind", "koo"),
-        ProtocolSpec::Heter => w.str("kind", "heter"),
-        ProtocolSpec::Starved { m } => w.str("kind", "starved").u64("m", *m),
-        ProtocolSpec::Majority { quorum } => w.str("kind", "majority").u64("quorum", *quorum),
-        ProtocolSpec::CrashOnly => w.str("kind", "crash_only"),
-    };
-}
-
-fn crash_record(w: &mut CanonWriter, crash: &CrashSpec) {
-    w.record("behavior", CACHE_SCHEMA_VERSION, |w| {
-        match crash.behavior {
-            CrashBehavior::Immediate => w.str("kind", "immediate"),
-            CrashBehavior::AfterQuota => w.str("kind", "after_quota"),
-            CrashBehavior::AfterCopies(n) => w.u64("after", n).str("kind", "after_copies"),
-        };
-    })
-    .record("nodes", CACHE_SCHEMA_VERSION, |w| {
-        match &crash.nodes {
-            CrashNodesSpec::Stripe { y0, height } => w
-                .u64("height", u64::from(*height))
-                .str("kind", "stripe")
-                .u64("y0", u64::from(*y0)),
-            CrashNodesSpec::Explicit(cells) => {
-                cells_list(w.str("kind", "explicit"), "nodes", cells)
-            }
-        };
-    });
-}
-
 /// The content-hash cache key for one fully-resolved sweep point.
 ///
 /// Stable across field order, process runs, and platforms (see
@@ -114,54 +49,17 @@ fn crash_record(w: &mut CanonWriter, crash: &CrashSpec) {
 /// engine reads. The sweep label is excluded by construction — it is
 /// not an input to the run.
 ///
-/// The key record is streamed through a [`CanonWriter`], so every
-/// field below is written in ascending name order at its level; the
-/// bytes equal those of the equivalent [`bftbcast_store::Record`]
-/// (pinned by `tests/fixtures/cache_keys.txt`).
+/// The field table streams the key record through a
+/// [`bftbcast_store::CanonWriter`] in ascending name order, with no
+/// allocation per field; the bytes equal those of the equivalent
+/// [`bftbcast_store::Record`] (pinned by `tests/fixtures/cache_keys.txt`).
 pub fn point_key(engine: EngineKind, point: &PointSpec, probes: &[(u32, u32)]) -> u64 {
-    const V: u16 = CACHE_SCHEMA_VERSION;
-    let mut w = CanonWriter::new(V);
-    w.str("adversary", point.adversary.name())
-        .record("agreement", V, |w| {
-            let a = &point.agreement;
-            w.str("mode", agreement_mode_name(a.mode))
-                .f64("p1", a.p1)
-                .f64("pe", a.pe)
-                .str("source", a.source.name());
-        });
-    if let Some(crash) = &point.crash {
-        w.record("crash", V, |w| crash_record(w, crash));
-    }
-    w.str("engine", engine.name())
-        .u64("height", u64::from(point.height))
-        .u64("mf", point.mf)
-        .record("placement", V, |w| placement_record(w, &point.placement));
-    cells_list(&mut w, "probes", probes)
-        .record("protocol", V, |w| protocol_record(w, &point.protocol))
-        .u64("r", u64::from(point.r))
-        .record("rbc", V, |w| {
-            let rbc = &point.rbc;
-            w.str("behavior", rbc.behavior.name())
-                .u64("max_waves", rbc.max_waves)
-                .u64("payload", u64::from(rbc.payload))
-                .str("protocol", rbc.protocol.name())
-                .str("schedule", rbc.schedule.name());
-        })
-        .record("reactive", V, |w| {
-            let re = &point.reactive;
-            w.str("adversary", reactive_adversary_name(re.adversary))
-                .u64("budget", re.budget.unwrap_or(u64::MAX))
-                .bool("budget_set", re.budget.is_some())
-                .u64("k", re.k as u64)
-                .u64("max_rounds", re.max_rounds)
-                .u64("mmax", re.mmax);
-        })
-        .u64("seed", point.seed)
-        .u64("source_x", u64::from(point.source.0))
-        .u64("source_y", u64::from(point.source.1))
-        .u64("t", u64::from(point.t))
-        .u64("width", u64::from(point.width));
-    w.content_hash()
+    fields::key(&Doc {
+        name: "",
+        engine,
+        point,
+        probes,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -422,7 +320,7 @@ pub fn decode_result(bytes: &[u8]) -> Option<PointResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_file::{AdversarySpec, ScenarioFile};
+    use crate::scenario_file::{AdversarySpec, PlacementSpec, ProtocolSpec, ScenarioFile};
     use bftbcast_sim::agreement::AgreementOutcome;
 
     fn f2_file() -> ScenarioFile {

@@ -86,6 +86,7 @@ pub use bftbcast_viz as viz;
 
 pub mod batch;
 pub mod cache;
+mod fields;
 pub mod json;
 pub mod prelude;
 pub mod report;

@@ -40,8 +40,11 @@ use bftbcast_sim::crash::CrashBehavior;
 use bftbcast_sim::engine::AgreementMode;
 use bftbcast_sim::slot::ReactiveAdversary;
 
+pub use crate::fields::axis_names;
+use crate::fields::{self, apply_axis, invalid, Draft};
 use crate::scenario::{Scenario, ScenarioError};
-use crate::scn::{self, ScnSection, ScnValue};
+use crate::scn::{self, ScnValue};
+use crate::spec::{validate, EngineSpec};
 
 /// Which engine a scenario file drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,26 +64,7 @@ pub enum EngineKind {
 impl EngineKind {
     /// The grammar's name for this engine.
     pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Counting => "counting",
-            EngineKind::Crash => "crash",
-            EngineKind::Slot => "slot",
-            EngineKind::Agreement => "agreement",
-            EngineKind::Rbc => "rbc",
-        }
-    }
-
-    /// The inverse of [`EngineKind::name`] — shared by the `.scn` and
-    /// JSON codecs so both grammars accept exactly the same names.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "counting" => EngineKind::Counting,
-            "crash" => EngineKind::Crash,
-            "slot" => EngineKind::Slot,
-            "agreement" => EngineKind::Agreement,
-            "rbc" => EngineKind::Rbc,
-            _ => return None,
-        })
+        fields::Named::name(&self)
     }
 }
 
@@ -147,30 +131,6 @@ pub enum AdversarySpec {
     Chaos,
     /// No attacks.
     Passive,
-}
-
-impl AdversarySpec {
-    /// The grammar's name for this adversary (also the cache-key
-    /// spelling in [`crate::cache::point_key`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            AdversarySpec::Oracle => "oracle",
-            AdversarySpec::Greedy => "greedy",
-            AdversarySpec::Chaos => "chaos",
-            AdversarySpec::Passive => "passive",
-        }
-    }
-
-    /// The inverse of [`AdversarySpec::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "oracle" => AdversarySpec::Oracle,
-            "greedy" => AdversarySpec::Greedy,
-            "chaos" => AdversarySpec::Chaos,
-            "passive" => AdversarySpec::Passive,
-            _ => return None,
-        })
-    }
 }
 
 /// Crash-node selection (crash engine).
@@ -263,27 +223,6 @@ pub enum SourceSpec {
     Silent,
 }
 
-impl SourceSpec {
-    /// The grammar's name for this source behavior.
-    pub fn name(self) -> &'static str {
-        match self {
-            SourceSpec::Correct => "correct",
-            SourceSpec::Split => "split",
-            SourceSpec::Silent => "silent",
-        }
-    }
-
-    /// The inverse of [`SourceSpec::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "correct" => SourceSpec::Correct,
-            "split" => SourceSpec::Split,
-            "silent" => SourceSpec::Silent,
-            _ => return None,
-        })
-    }
-}
-
 /// Agreement-engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgreementSpec {
@@ -347,6 +286,28 @@ pub struct PointSpec {
 }
 
 impl PointSpec {
+    /// The grammar's defaults on a `width`×`height` torus with radio
+    /// range `r`.
+    pub(crate) fn new(width: u32, height: u32, r: u32) -> PointSpec {
+        PointSpec {
+            width,
+            height,
+            r,
+            t: 1,
+            mf: 1,
+            source: (0, 0),
+            seed: 0,
+            placement: PlacementSpec::None,
+            protocol: ProtocolSpec::B,
+            adversary: AdversarySpec::Oracle,
+            crash: None,
+            reactive: ReactiveSpec::default(),
+            agreement: AgreementSpec::default(),
+            rbc: RbcSpec::default(),
+            label: Vec::new(),
+        }
+    }
+
     /// Builds the [`Scenario`] (torus + faults + Byzantine placement)
     /// for this point.
     ///
@@ -374,41 +335,18 @@ impl PointSpec {
     }
 }
 
-/// A sweep-axis value: integer, float, or a canonical name (the rbc
-/// `protocol` axis).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AxisValue {
-    /// An integer point.
-    Int(i64),
-    /// A float point (fraction axes only).
-    Float(f64),
-    /// A named point, interned to the grammar's canonical spelling
-    /// (name axes only).
-    Name(&'static str),
-}
+/// A sweep-axis value: one value of a `[sweep]` axis array (an
+/// integer, a float, or a name for the rbc `protocol`, `schedule` and
+/// `behavior` axes), or a `run --set` override.
+pub type AxisValue = ScnValue;
 
-impl AxisValue {
-    fn render(self) -> String {
-        match self {
-            AxisValue::Int(i) => i.to_string(),
-            AxisValue::Float(f) => format!("{f}"),
-            AxisValue::Name(s) => s.to_string(),
-        }
-    }
-
-    fn as_u64(self, what: &str) -> Result<u64, ScenarioError> {
-        match self {
-            AxisValue::Int(i) if i >= 0 => Ok(i as u64),
-            _ => Err(invalid(what, "expected a non-negative integer")),
-        }
-    }
-
-    fn as_f64(self, what: &str) -> Result<f64, ScenarioError> {
-        match self {
-            AxisValue::Int(i) => Ok(i as f64),
-            AxisValue::Float(f) => Ok(f),
-            AxisValue::Name(_) => Err(invalid(what, "expected a number")),
-        }
+/// How a sweep point's label shows an axis value.
+fn render(value: &AxisValue) -> String {
+    match value {
+        ScnValue::Str(s) => s.clone(),
+        ScnValue::Float(f) => f.to_string(),
+        ScnValue::Int(i) => i.to_string(),
+        other => unreachable!("axis values are numbers or names, not {}", other.kind()),
     }
 }
 
@@ -431,188 +369,25 @@ pub struct ScenarioFile {
     sweep: Vec<Axis>,
 }
 
-fn invalid(what: &str, message: impl Into<String>) -> ScenarioError {
-    ScenarioError::Invalid {
-        what: what.to_string(),
-        message: message.into(),
-    }
-}
-
-fn check_keys(section: &ScnSection, allowed: &[&str]) -> Result<(), ScenarioError> {
-    for (key, _, _) in &section.entries {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ScenarioError::UnknownKey {
-                section: section.name.clone(),
-                key: key.clone(),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn get_str<'a>(section: &'a ScnSection, key: &str) -> Result<Option<&'a str>, ScenarioError> {
-    match section.get(key) {
-        None => Ok(None),
-        Some(ScnValue::Str(s)) => Ok(Some(s)),
-        Some(other) => Err(invalid(
-            &format!("{}.{key}", section_name(section)),
-            format!("expected a string, found {}", other.kind()),
-        )),
-    }
-}
-
-fn get_int(section: &ScnSection, key: &str) -> Result<Option<i64>, ScenarioError> {
-    match section.get(key) {
-        None => Ok(None),
-        Some(ScnValue::Int(i)) => Ok(Some(*i)),
-        Some(ScnValue::BigInt(n)) => Err(invalid(
-            &format!("{}.{key}", section_name(section)),
-            format!("integer {n} is out of range for this field"),
-        )),
-        Some(other) => Err(invalid(
-            &format!("{}.{key}", section_name(section)),
-            format!("expected an integer, found {}", other.kind()),
-        )),
-    }
-}
-
-fn get_f64(section: &ScnSection, key: &str) -> Result<Option<f64>, ScenarioError> {
-    match section.get(key) {
-        None => Ok(None),
-        Some(ScnValue::Float(f)) => Ok(Some(*f)),
-        Some(ScnValue::Int(i)) => Ok(Some(*i as f64)),
-        Some(other) => Err(invalid(
-            &format!("{}.{key}", section_name(section)),
-            format!("expected a number, found {}", other.kind()),
-        )),
-    }
-}
-
-fn get_u32(section: &ScnSection, key: &str) -> Result<Option<u32>, ScenarioError> {
-    match get_int(section, key)? {
-        None => Ok(None),
-        Some(i) => u32::try_from(i).map(Some).map_err(|_| {
-            invalid(
-                &format!("{}.{key}", section_name(section)),
-                "expected a non-negative 32-bit integer",
-            )
-        }),
-    }
-}
-
-fn get_u64(section: &ScnSection, key: &str) -> Result<Option<u64>, ScenarioError> {
-    // Full-range u64 fields: i64-range literals and BigInt literals
-    // (above i64::MAX) are both valid.
-    if let Some(ScnValue::BigInt(n)) = section.get(key) {
-        return Ok(Some(*n));
-    }
-    match get_int(section, key)? {
-        None => Ok(None),
-        Some(i) => u64::try_from(i).map(Some).map_err(|_| {
-            invalid(
-                &format!("{}.{key}", section_name(section)),
-                "expected a non-negative integer",
-            )
-        }),
-    }
-}
-
-fn section_name(section: &ScnSection) -> &str {
-    if section.name.is_empty() {
-        "top level"
-    } else {
-        &section.name
-    }
-}
-
-/// Parses `[[x, y], ...]` coordinate lists.
-fn get_cells(section: &ScnSection, key: &str) -> Result<Vec<(u32, u32)>, ScenarioError> {
-    let what = format!("{}.{key}", section_name(section));
-    let Some(value) = section.get(key) else {
-        return Err(invalid(&what, "missing coordinate list"));
-    };
-    let ScnValue::Array(items) = value else {
-        return Err(invalid(&what, "expected an array of [x, y] pairs"));
-    };
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let ScnValue::Array(pair) = item else {
-            return Err(invalid(&what, "each entry must be an [x, y] pair"));
-        };
-        let [ScnValue::Int(x), ScnValue::Int(y)] = pair.as_slice() else {
-            return Err(invalid(&what, "each entry must be two integers"));
-        };
-        let (Ok(x), Ok(y)) = (u32::try_from(*x), u32::try_from(*y)) else {
-            return Err(invalid(&what, "coordinates must be non-negative"));
-        };
-        out.push((x, y));
-    }
-    Ok(out)
-}
-
-/// Parses a sweep axis value list: an array of numbers or a range
+/// Parses a sweep axis value list: an array of values or a range
 /// string `"a..b"` (half-open) / `"a..=b"` (inclusive).
 fn axis_values(name: &str, value: &ScnValue) -> Result<Vec<AxisValue>, ScenarioError> {
     let what = format!("sweep.{name}");
     let values = match value {
-        ScnValue::Array(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(match item {
-                    ScnValue::Int(i) => AxisValue::Int(*i),
-                    ScnValue::Float(f) => AxisValue::Float(*f),
-                    // The protocol/schedule/behavior axes hold names,
-                    // not numbers; intern each to its canonical
-                    // spelling here so AxisValue stays Copy.
-                    ScnValue::Str(s) if name == "protocol" => {
-                        let p = RbcProtocol::from_name(s).ok_or_else(|| {
-                            invalid(
-                                &what,
-                                format!("unknown protocol {s:?} (counting|bracha|ctrbc)"),
-                            )
-                        })?;
-                        AxisValue::Name(p.name())
-                    }
-                    ScnValue::Str(s) if name == "schedule" => {
-                        let k = ScheduleKind::from_name(s).ok_or_else(|| {
-                            invalid(
-                                &what,
-                                format!(
-                                    "unknown schedule {s:?} \
-                                     (seeded|fifo|delay_quorum|targeted_reorder|gst)"
-                                ),
-                            )
-                        })?;
-                        AxisValue::Name(k.name())
-                    }
-                    ScnValue::Str(s) if name == "behavior" => {
-                        let b = ByzantineBehavior::from_name(s).ok_or_else(|| {
-                            invalid(
-                                &what,
-                                format!(
-                                    "unknown behavior {s:?} \
-                                     (mute|equivocate|selective_send|stale_replay)"
-                                ),
-                            )
-                        })?;
-                        AxisValue::Name(b.name())
-                    }
-                    ScnValue::BigInt(n) => {
-                        return Err(invalid(
-                            &what,
-                            format!("axis value {n} is above the sweepable range (i64)"),
-                        ))
-                    }
-                    other => {
-                        return Err(invalid(
-                            &what,
-                            format!("axis arrays hold numbers, found {}", other.kind()),
-                        ))
-                    }
-                });
-            }
-            out
-        }
+        ScnValue::Array(items) => items
+            .iter()
+            .map(|item| match item {
+                ScnValue::Int(_) | ScnValue::Float(_) | ScnValue::Str(_) => Ok(item.clone()),
+                ScnValue::BigInt(n) => Err(invalid(
+                    &what,
+                    format!("axis value {n} is above the sweepable range (i64)"),
+                )),
+                other => Err(invalid(
+                    &what,
+                    format!("axis arrays hold numbers or names, found {}", other.kind()),
+                )),
+            })
+            .collect::<Result<Vec<_>, _>>()?,
         ScnValue::Str(range) => {
             let (lo, hi, inclusive) = if let Some((lo, hi)) = range.split_once("..=") {
                 (lo, hi, true)
@@ -635,13 +410,13 @@ fn axis_values(name: &str, value: &ScnValue) -> Result<Vec<AxisValue>, ScenarioE
             if lo >= hi {
                 return Err(invalid(&what, format!("range {range:?} is empty")));
             }
-            (lo..hi).map(AxisValue::Int).collect()
+            (lo..hi).map(ScnValue::Int).collect()
         }
         other => {
             return Err(invalid(
                 &what,
                 format!(
-                    "expected an array of numbers or a range string, found {}",
+                    "expected an array of values or a range string, found {}",
                     other.kind()
                 ),
             ))
@@ -652,258 +427,6 @@ fn axis_values(name: &str, value: &ScnValue) -> Result<Vec<AxisValue>, ScenarioE
     }
     Ok(values)
 }
-
-/// Applies one axis override to a [`PointSpec`] — the shared vocabulary
-/// of `[sweep]` axes and `run --set key=value` overrides.
-pub(crate) fn apply_axis(
-    spec: &mut PointSpec,
-    name: &str,
-    value: AxisValue,
-) -> Result<(), ScenarioError> {
-    let what = format!("sweep.{name}");
-    match name {
-        "m" => match &mut spec.protocol {
-            ProtocolSpec::Starved { m } => *m = value.as_u64(&what)?,
-            _ => {
-                return Err(invalid(
-                    &what,
-                    "sweeping m requires protocol kind = \"starved\"",
-                ))
-            }
-        },
-        "quorum" => match &mut spec.protocol {
-            ProtocolSpec::Majority { quorum } => *quorum = value.as_u64(&what)?,
-            _ => {
-                return Err(invalid(
-                    &what,
-                    "sweeping quorum requires protocol kind = \"majority\"",
-                ))
-            }
-        },
-        "t" => {
-            spec.t = u32::try_from(value.as_u64(&what)?)
-                .map_err(|_| invalid(&what, "t out of range"))?;
-        }
-        "mf" => spec.mf = value.as_u64(&what)?,
-        "seed" => spec.seed = value.as_u64(&what)?,
-        "count" => match &mut spec.placement {
-            PlacementSpec::Random { count } => *count = value.as_u64(&what)? as usize,
-            _ => {
-                return Err(invalid(
-                    &what,
-                    "sweeping count requires placement kind = \"random\"",
-                ))
-            }
-        },
-        "p" => match &mut spec.placement {
-            PlacementSpec::Bernoulli { p } => *p = value.as_f64(&what)?,
-            _ => {
-                return Err(invalid(
-                    &what,
-                    "sweeping p requires placement kind = \"bernoulli\"",
-                ))
-            }
-        },
-        "k" => spec.reactive.k = value.as_u64(&what)? as usize,
-        "mmax" => spec.reactive.mmax = value.as_u64(&what)?,
-        "p1" => spec.agreement.p1 = value.as_f64(&what)?,
-        "pe" => spec.agreement.pe = value.as_f64(&what)?,
-        "protocol" => match value {
-            AxisValue::Name(s) => {
-                spec.rbc.protocol = RbcProtocol::from_name(s).ok_or_else(|| {
-                    invalid(
-                        &what,
-                        format!("unknown protocol {s:?} (counting|bracha|ctrbc)"),
-                    )
-                })?;
-            }
-            _ => {
-                return Err(invalid(
-                    &what,
-                    "protocol axis values are names: [\"counting\", \"bracha\", \"ctrbc\"]",
-                ))
-            }
-        },
-        "payload" => {
-            spec.rbc.payload = u32::try_from(value.as_u64(&what)?)
-                .map_err(|_| invalid(&what, "payload out of range"))?;
-        }
-        "schedule" => match value {
-            AxisValue::Name(s) => {
-                spec.rbc.schedule = ScheduleKind::from_name(s).ok_or_else(|| {
-                    invalid(
-                        &what,
-                        format!(
-                            "unknown schedule {s:?} \
-                             (seeded|fifo|delay_quorum|targeted_reorder|gst)"
-                        ),
-                    )
-                })?;
-            }
-            _ => {
-                return Err(invalid(
-                    &what,
-                    "schedule axis values are names: [\"seeded\", \"fifo\", \
-                     \"delay_quorum\", \"targeted_reorder\", \"gst\"]",
-                ))
-            }
-        },
-        "behavior" => match value {
-            AxisValue::Name(s) => {
-                spec.rbc.behavior = ByzantineBehavior::from_name(s).ok_or_else(|| {
-                    invalid(
-                        &what,
-                        format!(
-                            "unknown behavior {s:?} \
-                             (mute|equivocate|selective_send|stale_replay)"
-                        ),
-                    )
-                })?;
-            }
-            _ => {
-                return Err(invalid(
-                    &what,
-                    "behavior axis values are names: [\"mute\", \"equivocate\", \
-                     \"selective_send\", \"stale_replay\"]",
-                ))
-            }
-        },
-        other => {
-            return Err(invalid(
-                &format!("sweep.{other}"),
-                "unknown axis (known: m, quorum, t, mf, seed, count, p, k, mmax, p1, pe, \
-                 protocol, payload, schedule, behavior)",
-            ))
-        }
-    }
-    if matches!(name, "p" | "p1" | "pe") {
-        let v = value.as_f64(&what)?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(invalid(&what, "fractions must lie in [0, 1]"));
-        }
-    }
-    Ok(())
-}
-
-/// The one authoritative off-torus check for probe cells, shared by
-/// the `.scn` parser, the spec validator ([`crate::spec`]), and the
-/// batch runner's pre-run backstop — so the error text (naming the
-/// cell and the torus) can never diverge between layers.
-pub(crate) fn check_probe_cell(
-    x: u32,
-    y: u32,
-    width: u32,
-    height: u32,
-) -> Result<(), ScenarioError> {
-    if x >= width || y >= height {
-        return Err(invalid(
-            "probes.nodes",
-            format!("probe ({x}, {y}) is off the {width}x{height} torus"),
-        ));
-    }
-    Ok(())
-}
-
-/// Cross-field validation of a fully-resolved point: everything that
-/// would otherwise surface as an engine assert at run time — on a
-/// `sweep()` worker thread, aborting the batch — fails here with a
-/// [`ScenarioError`] instead. Called on the base document and on every
-/// sweep-axis value at parse time.
-pub(crate) fn validate_point(spec: &PointSpec, engine: EngineKind) -> Result<(), ScenarioError> {
-    let (w, h) = (spec.width, spec.height);
-    let check_cell = |what: &str, x: u32, y: u32| -> Result<(), ScenarioError> {
-        if x >= w || y >= h {
-            return Err(invalid(
-                what,
-                format!("cell ({x}, {y}) is off the {w}x{h} torus"),
-            ));
-        }
-        Ok(())
-    };
-    check_cell("source", spec.source.0, spec.source.1)?;
-    if let PlacementSpec::Explicit(cells) = &spec.placement {
-        for &(x, y) in cells {
-            check_cell("placement.nodes", x, y)?;
-        }
-    }
-    if let PlacementSpec::Lattice { offset } = spec.placement {
-        // The placement asserts this; a point must fail here instead.
-        let lattice = bftbcast_adversary::LatticePlacement { t: spec.t, offset };
-        if let Some(why) = lattice.misfit(w, h, spec.r) {
-            return Err(invalid("placement", why));
-        }
-    }
-    if let PlacementSpec::Bernoulli { p } = spec.placement {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(invalid("placement.p", "rate must lie in [0, 1]"));
-        }
-    }
-    if let Some(crash) = &spec.crash {
-        if let CrashNodesSpec::Explicit(cells) = &crash.nodes {
-            for &(x, y) in cells {
-                check_cell("crash.nodes", x, y)?;
-            }
-        }
-    }
-    if engine == EngineKind::Slot && !(1..=63).contains(&spec.reactive.k) {
-        return Err(invalid(
-            "reactive.k",
-            "payload width must lie in 1..=63 bits",
-        ));
-    }
-    if engine == EngineKind::Rbc {
-        if !(1..=1_048_576).contains(&spec.rbc.payload) {
-            return Err(invalid(
-                "rbc.payload",
-                "payload must lie in 1..=1048576 bits",
-            ));
-        }
-        let floor = 2 * (u64::from(spec.t) + 1);
-        if spec.rbc.protocol == RbcProtocol::Ctrbc && u64::from(spec.rbc.payload) < floor {
-            return Err(invalid(
-                "rbc.payload",
-                format!(
-                    "ctrbc splits the payload into t+1 fragments and needs at least \
-                     2(t+1) = {floor} payload bits at t = {}",
-                    spec.t
-                ),
-            ));
-        }
-        if spec.rbc.max_waves == 0 {
-            return Err(invalid("rbc.max_waves", "at least one wave is required"));
-        }
-    }
-    if engine == EngineKind::Agreement && spec.agreement.mode == AgreementMode::Proven {
-        use bftbcast_protocols::agreement::proven_max_t;
-        if u64::from(spec.t) > proven_max_t(spec.r) {
-            return Err(invalid(
-                "agreement.mode",
-                format!(
-                    "proven mode requires t <= {} at r = {}",
-                    proven_max_t(spec.r),
-                    spec.r
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-const SECTIONS: &[&str] = &[
-    "",
-    "topology",
-    "faults",
-    "source",
-    "placement",
-    "protocol",
-    "adversary",
-    "crash",
-    "reactive",
-    "agreement",
-    "rbc",
-    "probes",
-    "sweep",
-];
 
 impl ScenarioFile {
     /// Parses and validates a scenario document.
@@ -916,446 +439,46 @@ impl ScenarioFile {
     /// sweep ranges, or engine/section mismatches.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         let doc = scn::parse(text)?;
-        for section in &doc.sections {
-            if !SECTIONS.contains(&section.name.as_str()) {
-                return Err(ScenarioError::UnknownKey {
-                    section: section.name.clone(),
-                    key: String::new(),
-                });
+        let mut file = Draft::new("scenario");
+        fields::decode_scn(&doc, &mut file, "sweep")?;
+        let mut file = ScenarioFile {
+            name: file.name,
+            engine: file.engine,
+            probes: file.probes,
+            base: file.point,
+            sweep: Vec::new(),
+        };
+        file.check(&file.base)?;
+        // Every axis value is validated against the base now, so a bad
+        // axis fails at parse time, not mid-batch.
+        for (key, value, _) in doc.section("sweep").map_or(&[][..], |s| &s.entries) {
+            let values = axis_values(key, value)?;
+            for v in &values {
+                file.check(&file.apply(file.base.clone(), key, v)?)?;
             }
+            file.sweep.push(Axis {
+                name: key.clone(),
+                values,
+            });
         }
-        let empty = ScnSection {
-            name: String::new(),
-            line: 0,
-            entries: Vec::new(),
-        };
-        let top = doc.section("").unwrap_or(&empty);
-        check_keys(top, &["name", "engine", "seed"])?;
-        let name = get_str(top, "name")?.unwrap_or("scenario").to_string();
-        let engine_name = get_str(top, "engine")?.unwrap_or("counting");
-        let engine = EngineKind::from_name(engine_name).ok_or_else(|| {
-            invalid(
-                "engine",
-                format!("unknown engine {engine_name:?} (counting|crash|slot|agreement|rbc)"),
-            )
-        })?;
-        let seed = get_u64(top, "seed")?.unwrap_or(0);
+        Ok(file)
+    }
 
-        // Engine/section applicability: a typo'd or misplaced section
-        // must fail loudly, not silently no-op.
-        for (section, engines) in [
-            ("adversary", &[EngineKind::Counting][..]),
-            ("crash", &[EngineKind::Crash][..]),
-            ("reactive", &[EngineKind::Slot][..]),
-            ("agreement", &[EngineKind::Agreement][..]),
-            ("rbc", &[EngineKind::Rbc][..]),
-            ("protocol", &[EngineKind::Counting, EngineKind::Crash][..]),
-        ] {
-            if doc.section(section).is_some() && !engines.contains(&engine) {
-                return Err(invalid(
-                    section,
-                    format!(
-                        "section [{section}] does not apply to engine = \"{}\"",
-                        engine.name()
-                    ),
-                ));
-            }
-        }
+    /// Applies one axis value to `point`.
+    fn apply(
+        &self,
+        point: PointSpec,
+        axis: &str,
+        value: &AxisValue,
+    ) -> Result<PointSpec, ScenarioError> {
+        let mut d = Draft::of(self.engine, point, "");
+        apply_axis(&mut d, axis, value)?;
+        Ok(d.point)
+    }
 
-        // [topology] — required.
-        let topo = doc
-            .section("topology")
-            .ok_or_else(|| invalid("topology", "missing required section [topology]"))?;
-        check_keys(topo, &["side", "width", "height", "r"])?;
-        let r = get_u32(topo, "r")?.ok_or_else(|| invalid("topology.r", "radio range required"))?;
-        let (width, height) = match (
-            get_u32(topo, "side")?,
-            get_u32(topo, "width")?,
-            get_u32(topo, "height")?,
-        ) {
-            (Some(side), None, None) => (side, side),
-            (None, Some(w), Some(h)) => (w, h),
-            _ => return Err(invalid("topology", "give either side, or width and height")),
-        };
-
-        // [faults]
-        let (t, mf) = match doc.section("faults") {
-            None => (1, 1),
-            Some(s) => {
-                check_keys(s, &["t", "mf"])?;
-                (
-                    get_u32(s, "t")?.unwrap_or(1),
-                    get_u64(s, "mf")?.unwrap_or(1),
-                )
-            }
-        };
-
-        // [source]
-        let source = match doc.section("source") {
-            None => (0, 0),
-            Some(s) => {
-                check_keys(s, &["x", "y"])?;
-                (get_u32(s, "x")?.unwrap_or(0), get_u32(s, "y")?.unwrap_or(0))
-            }
-        };
-
-        // [placement]
-        let placement = match doc.section("placement") {
-            None => PlacementSpec::None,
-            Some(s) => {
-                check_keys(s, &["kind", "offset", "stripes", "count", "p", "nodes"])?;
-                match get_str(s, "kind")?.unwrap_or("none") {
-                    "none" => PlacementSpec::None,
-                    "lattice" => PlacementSpec::Lattice {
-                        offset: get_u32(s, "offset")?.unwrap_or(1),
-                    },
-                    "stripes" => {
-                        let what = "placement.stripes";
-                        let Some(ScnValue::Array(items)) = s.get("stripes") else {
-                            return Err(invalid(what, "expected stripes = [[y0, t, above], ...]"));
-                        };
-                        let mut stripes = Vec::with_capacity(items.len());
-                        for item in items {
-                            let ScnValue::Array(triple) = item else {
-                                return Err(invalid(what, "each stripe is [y0, t, above]"));
-                            };
-                            let [ScnValue::Int(y0), ScnValue::Int(st), ScnValue::Bool(above)] =
-                                triple.as_slice()
-                            else {
-                                return Err(invalid(
-                                    what,
-                                    "each stripe is [int y0, int t, bool victims_above]",
-                                ));
-                            };
-                            let (Ok(y0), Ok(st)) = (u32::try_from(*y0), u32::try_from(*st)) else {
-                                return Err(invalid(what, "stripe numbers must be non-negative"));
-                            };
-                            stripes.push((y0, st, *above));
-                        }
-                        PlacementSpec::Stripes(stripes)
-                    }
-                    "random" => PlacementSpec::Random {
-                        count: get_u64(s, "count")?
-                            .ok_or_else(|| invalid("placement.count", "random needs count"))?
-                            as usize,
-                    },
-                    "bernoulli" => PlacementSpec::Bernoulli {
-                        p: get_f64(s, "p")?
-                            .ok_or_else(|| invalid("placement.p", "bernoulli needs p"))?,
-                    },
-                    "explicit" => PlacementSpec::Explicit(get_cells(s, "nodes")?),
-                    other => {
-                        return Err(invalid(
-                            "placement.kind",
-                            format!(
-                                "unknown kind {other:?} \
-                                 (none|lattice|stripes|random|bernoulli|explicit)"
-                            ),
-                        ))
-                    }
-                }
-            }
-        };
-
-        // [protocol]
-        let protocol = match doc.section("protocol") {
-            None => ProtocolSpec::B,
-            Some(s) => {
-                check_keys(s, &["kind", "m", "quorum"])?;
-                match get_str(s, "kind")?.unwrap_or("b") {
-                    "b" => ProtocolSpec::B,
-                    "koo" => ProtocolSpec::Koo,
-                    "heter" => ProtocolSpec::Heter,
-                    "starved" => ProtocolSpec::Starved {
-                        m: get_u64(s, "m")?
-                            .ok_or_else(|| invalid("protocol.m", "starved needs m"))?,
-                    },
-                    "majority" => ProtocolSpec::Majority {
-                        quorum: get_u64(s, "quorum")?
-                            .ok_or_else(|| invalid("protocol.quorum", "majority needs quorum"))?,
-                    },
-                    "crash_only" => ProtocolSpec::CrashOnly,
-                    other => {
-                        return Err(invalid(
-                            "protocol.kind",
-                            format!(
-                                "unknown kind {other:?} \
-                                 (b|koo|heter|starved|majority|crash_only)"
-                            ),
-                        ))
-                    }
-                }
-            }
-        };
-        if protocol == ProtocolSpec::CrashOnly && engine != EngineKind::Crash {
-            return Err(invalid(
-                "protocol.kind",
-                "crash_only applies to the crash engine only",
-            ));
-        }
-        if matches!(protocol, ProtocolSpec::Majority { .. }) && engine != EngineKind::Counting {
-            return Err(invalid(
-                "protocol.kind",
-                "majority applies to the counting engine only",
-            ));
-        }
-
-        // [adversary]
-        let adversary = match doc.section("adversary") {
-            None => AdversarySpec::Oracle,
-            Some(s) => {
-                check_keys(s, &["kind"])?;
-                let kind = get_str(s, "kind")?.unwrap_or("oracle");
-                AdversarySpec::from_name(kind).ok_or_else(|| {
-                    invalid(
-                        "adversary.kind",
-                        format!("unknown kind {kind:?} (oracle|greedy|chaos|passive)"),
-                    )
-                })?
-            }
-        };
-        if matches!(protocol, ProtocolSpec::Majority { .. }) && adversary != AdversarySpec::Oracle {
-            return Err(invalid(
-                "adversary.kind",
-                "the majority protocol is driven by the per-receiver oracle only",
-            ));
-        }
-
-        // [crash]
-        let crash = match doc.section("crash") {
-            None => None,
-            Some(s) => {
-                check_keys(s, &["kind", "y0", "height", "nodes", "behavior", "after"])?;
-                let nodes = match get_str(s, "kind")?.unwrap_or("stripe") {
-                    "stripe" => CrashNodesSpec::Stripe {
-                        y0: get_u32(s, "y0")?
-                            .ok_or_else(|| invalid("crash.y0", "stripe needs y0"))?,
-                        height: get_u32(s, "height")?.unwrap_or(1),
-                    },
-                    "explicit" => CrashNodesSpec::Explicit(get_cells(s, "nodes")?),
-                    other => {
-                        return Err(invalid(
-                            "crash.kind",
-                            format!("unknown kind {other:?} (stripe|explicit)"),
-                        ))
-                    }
-                };
-                let behavior = match (get_str(s, "behavior")?, get_u64(s, "after")?) {
-                    (None, None) | (Some("immediate"), None) => CrashBehavior::Immediate,
-                    (Some("after_quota"), None) => CrashBehavior::AfterQuota,
-                    (None, Some(n)) => CrashBehavior::AfterCopies(n),
-                    (Some(other), None) => {
-                        return Err(invalid(
-                            "crash.behavior",
-                            format!("unknown behavior {other:?} (immediate|after_quota|after = N)"),
-                        ))
-                    }
-                    (Some(_), Some(_)) => {
-                        return Err(invalid(
-                            "crash.behavior",
-                            "give either behavior or after, not both",
-                        ))
-                    }
-                };
-                Some(CrashSpec { nodes, behavior })
-            }
-        };
-        if engine == EngineKind::Crash && crash.is_none() {
-            return Err(invalid("crash", "the crash engine needs a [crash] section"));
-        }
-
-        // [reactive]
-        let reactive = match doc.section("reactive") {
-            None => ReactiveSpec::default(),
-            Some(s) => {
-                check_keys(s, &["k", "mmax", "adversary", "budget", "max_rounds"])?;
-                let adversary = match get_str(s, "adversary")?.unwrap_or("jammer") {
-                    "passive" => ReactiveAdversary::Passive,
-                    "jammer" => ReactiveAdversary::Jammer,
-                    "canceller" => ReactiveAdversary::Canceller,
-                    "nack_forger" => ReactiveAdversary::NackForger,
-                    "witness_forger" => ReactiveAdversary::WitnessForger,
-                    "mixed" => ReactiveAdversary::Mixed,
-                    other => {
-                        return Err(invalid(
-                            "reactive.adversary",
-                            format!(
-                                "unknown adversary {other:?} (passive|jammer|canceller|\
-                                 nack_forger|witness_forger|mixed)"
-                            ),
-                        ))
-                    }
-                };
-                let defaults = ReactiveSpec::default();
-                ReactiveSpec {
-                    k: get_u64(s, "k")?.map_or(defaults.k, |k| k as usize),
-                    mmax: get_u64(s, "mmax")?.unwrap_or(defaults.mmax),
-                    adversary,
-                    budget: get_u64(s, "budget")?,
-                    max_rounds: get_u64(s, "max_rounds")?.unwrap_or(defaults.max_rounds),
-                }
-            }
-        };
-
-        // [agreement]
-        let agreement = match doc.section("agreement") {
-            None => AgreementSpec::default(),
-            Some(s) => {
-                check_keys(s, &["mode", "source", "p1", "pe"])?;
-                let mode = match get_str(s, "mode")?.unwrap_or("cheap") {
-                    "cheap" => AgreementMode::Cheap,
-                    "proven" => AgreementMode::Proven,
-                    other => {
-                        return Err(invalid(
-                            "agreement.mode",
-                            format!("unknown mode {other:?} (cheap|proven)"),
-                        ))
-                    }
-                };
-                let source_name = get_str(s, "source")?.unwrap_or("correct");
-                let source = SourceSpec::from_name(source_name).ok_or_else(|| {
-                    invalid(
-                        "agreement.source",
-                        format!("unknown source {source_name:?} (correct|split|silent)"),
-                    )
-                })?;
-                let defaults = AgreementSpec::default();
-                let p1 = get_f64(s, "p1")?.unwrap_or(defaults.p1);
-                let pe = get_f64(s, "pe")?.unwrap_or(defaults.pe);
-                for (key, v) in [("p1", p1), ("pe", pe)] {
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(invalid(
-                            &format!("agreement.{key}"),
-                            "fractions must lie in [0, 1]",
-                        ));
-                    }
-                }
-                AgreementSpec {
-                    mode,
-                    source,
-                    p1,
-                    pe,
-                }
-            }
-        };
-
-        // [rbc]
-        let rbc = match doc.section("rbc") {
-            None => RbcSpec::default(),
-            Some(s) => {
-                check_keys(
-                    s,
-                    &["protocol", "payload", "max_waves", "schedule", "behavior"],
-                )?;
-                let pname = get_str(s, "protocol")?.unwrap_or("bracha");
-                let protocol = RbcProtocol::from_name(pname).ok_or_else(|| {
-                    invalid(
-                        "rbc.protocol",
-                        format!("unknown protocol {pname:?} (counting|bracha|ctrbc)"),
-                    )
-                })?;
-                let sname = get_str(s, "schedule")?.unwrap_or("seeded");
-                let schedule = ScheduleKind::from_name(sname).ok_or_else(|| {
-                    invalid(
-                        "rbc.schedule",
-                        format!(
-                            "unknown schedule {sname:?} \
-                             (seeded|fifo|delay_quorum|targeted_reorder|gst)"
-                        ),
-                    )
-                })?;
-                let bname = get_str(s, "behavior")?.unwrap_or("mute");
-                let behavior = ByzantineBehavior::from_name(bname).ok_or_else(|| {
-                    invalid(
-                        "rbc.behavior",
-                        format!(
-                            "unknown behavior {bname:?} \
-                             (mute|equivocate|selective_send|stale_replay)"
-                        ),
-                    )
-                })?;
-                let defaults = RbcSpec::default();
-                RbcSpec {
-                    protocol,
-                    payload: get_u32(s, "payload")?.unwrap_or(defaults.payload),
-                    max_waves: get_u64(s, "max_waves")?.unwrap_or(defaults.max_waves),
-                    schedule,
-                    behavior,
-                }
-            }
-        };
-
-        // [probes]
-        let probes = match doc.section("probes") {
-            None => Vec::new(),
-            Some(s) => {
-                check_keys(s, &["nodes"])?;
-                get_cells(s, "nodes")?
-            }
-        };
-        for &(x, y) in &probes {
-            check_probe_cell(x, y, width, height)?;
-        }
-
-        let base = PointSpec {
-            width,
-            height,
-            r,
-            t,
-            mf,
-            source,
-            seed,
-            placement,
-            protocol,
-            adversary,
-            crash,
-            reactive,
-            agreement,
-            rbc,
-            label: Vec::new(),
-        };
-
-        validate_point(&base, engine)?;
-
-        // [sweep] — validate every axis value against the base spec now
-        // so a bad axis fails at parse time, not mid-batch.
-        let mut sweep = Vec::new();
-        if let Some(s) = doc.section("sweep") {
-            for (key, value, _) in &s.entries {
-                // An axis the engine never reads would silently yield N
-                // identical rows — reject it like a misplaced section.
-                let applies = match key.as_str() {
-                    "k" | "mmax" => engine == EngineKind::Slot,
-                    "p1" | "pe" => engine == EngineKind::Agreement,
-                    "protocol" | "payload" | "schedule" | "behavior" => engine == EngineKind::Rbc,
-                    _ => true,
-                };
-                if !applies {
-                    return Err(invalid(
-                        &format!("sweep.{key}"),
-                        format!("axis does not apply to engine = \"{}\"", engine.name()),
-                    ));
-                }
-                let values = axis_values(key, value)?;
-                for &v in &values {
-                    let mut probe_spec = base.clone();
-                    apply_axis(&mut probe_spec, key, v)?;
-                    validate_point(&probe_spec, engine)?;
-                }
-                sweep.push(Axis {
-                    name: key.clone(),
-                    values,
-                });
-            }
-        }
-
-        Ok(ScenarioFile {
-            name,
-            engine,
-            probes,
-            base,
-            sweep,
-        })
+    /// Validates one resolved point of this file.
+    fn check(&self, point: &PointSpec) -> Result<(), ScenarioError> {
+        validate(&self.name, self.engine, point, &self.probes)
     }
 
     /// The base configuration (sweep overrides not applied).
@@ -1363,12 +486,12 @@ impl ScenarioFile {
         &self.base
     }
 
-    /// Wraps one validated [`EngineSpec`](crate::spec::EngineSpec) as a
-    /// single-point scenario file — the adapter that lets every
-    /// `ScenarioFile` consumer (the batch runner, the server job queue)
-    /// run a spec submitted as JSON through exactly the same code path
-    /// (and therefore exactly the same store keys) as `.scn` text.
-    pub fn from_spec(spec: &crate::spec::EngineSpec) -> ScenarioFile {
+    /// Wraps one validated [`EngineSpec`] as a single-point scenario
+    /// file — the adapter that lets every `ScenarioFile` consumer (the
+    /// batch runner, the server job queue) run a spec submitted as JSON
+    /// through exactly the same code path (and therefore exactly the
+    /// same store keys) as `.scn` text.
+    pub fn from_spec(spec: &EngineSpec) -> ScenarioFile {
         ScenarioFile {
             name: spec.name().to_string(),
             engine: spec.engine(),
@@ -1395,27 +518,20 @@ impl ScenarioFile {
         })
     }
 
-    /// Expands the file into one validated
-    /// [`EngineSpec`](crate::spec::EngineSpec) per sweep point (the
-    /// sweep labels are presentation and are dropped — a spec's
-    /// identity is its cache key).
+    /// Expands the file into one validated [`EngineSpec`] per sweep
+    /// point (the sweep labels are presentation and are dropped — a
+    /// spec's identity is its cache key).
     ///
     /// # Errors
     ///
     /// None in practice for parse-produced files (everything was
     /// validated at parse time); hand-mutated files surface the usual
     /// [`ScenarioError`]s.
-    pub fn specs(&self) -> Result<Vec<crate::spec::EngineSpec>, ScenarioError> {
+    pub fn specs(&self) -> Result<Vec<EngineSpec>, ScenarioError> {
         self.points()
             .into_iter()
-            .map(|mut point| {
-                point.label.clear();
-                crate::spec::EngineSpec::from_parts(
-                    self.name.clone(),
-                    self.engine,
-                    point,
-                    self.probes.clone(),
-                )
+            .map(|point| {
+                EngineSpec::from_parts(self.name.clone(), self.engine, point, self.probes.clone())
             })
             .collect()
     }
@@ -1429,20 +545,19 @@ impl ScenarioFile {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Invalid`] for an unknown axis, a value of the
-    /// wrong shape, or an override that makes the base or any sweep
-    /// point invalid.
+    /// [`ScenarioError::Invalid`] for an unknown axis, an axis that
+    /// does not apply to the engine, a value of the wrong shape, or an
+    /// override that makes the base or any sweep point invalid.
     pub fn override_base(&mut self, key: &str, value: AxisValue) -> Result<(), ScenarioError> {
-        apply_axis(&mut self.base, key, value)?;
-        validate_point(&self.base, self.engine)?;
-        self.sweep.retain(|axis| axis.name != key);
-        for axis in &self.sweep {
-            for &v in &axis.values {
-                let mut probe_spec = self.base.clone();
-                apply_axis(&mut probe_spec, &axis.name, v)?;
-                validate_point(&probe_spec, self.engine)?;
+        let base = self.apply(self.base.clone(), key, &value)?;
+        self.check(&base)?;
+        for axis in self.sweep.iter().filter(|axis| axis.name != key) {
+            for v in &axis.values {
+                self.check(&self.apply(base.clone(), &axis.name, v)?)?;
             }
         }
+        self.base = base;
+        self.sweep.retain(|axis| axis.name != key);
         Ok(())
     }
 
@@ -1454,13 +569,13 @@ impl ScenarioFile {
         let mut out = Vec::with_capacity(total);
         let mut indices = vec![0usize; self.sweep.len()];
         loop {
-            let mut spec = self.base.clone();
+            let mut d = Draft::of(self.engine, self.base.clone(), "");
             for (axis, &i) in self.sweep.iter().zip(&indices) {
-                let v = axis.values[i];
-                apply_axis(&mut spec, &axis.name, v).expect("validated at parse time");
-                spec.label.push((axis.name.clone(), v.render()));
+                let v = &axis.values[i];
+                apply_axis(&mut d, &axis.name, v).expect("validated at parse time");
+                d.point.label.push((axis.name.clone(), render(v)));
             }
-            out.push(spec);
+            out.push(d.point);
             // Odometer increment, last axis fastest.
             let mut done = true;
             for i in (0..indices.len()).rev() {

@@ -14,8 +14,9 @@
 //!
 //! # Identity is the cache key
 //!
-//! Both codecs are **lossless** and mirror the field definitions of
-//! [`crate::cache::point_key`]: two specs are the same configuration
+//! Both codecs are **lossless**, and they and
+//! [`crate::cache::point_key`] are driven by one field table (the
+//! crate's `fields` module): two specs are the same configuration
 //! exactly when [`EngineSpec::cache_key`] agrees, regardless of which
 //! surface they came through. A scenario submitted as `.scn` text and
 //! the same configuration submitted as spec JSON therefore hit the
@@ -50,81 +51,25 @@
 //! );
 //! ```
 
-use std::fmt::Write as _;
-
 use bftbcast_net::{Cross, NodeId};
 use bftbcast_protocols::reactive::ReactiveConfig;
 use bftbcast_protocols::CountingProtocol;
-use bftbcast_rbc::{RbcConfig, RbcEngine};
+use bftbcast_rbc::{RbcConfig, RbcEngine, RbcProtocol};
 use bftbcast_sim::crash::{crash_only_protocol, crash_stripe, CrashBehavior, HybridSim};
 use bftbcast_sim::engine::{
     AgreementEngine, AgreementMode, CountingDrive, CountingEngine, CrashEngine, SimEngine,
     SlotEngine,
 };
-use bftbcast_sim::slot::{ReactiveAdversary, SlotConfig};
+use bftbcast_sim::slot::SlotConfig;
 
-use crate::cache::{self, CACHE_SCHEMA_VERSION};
-use crate::json::{Json, Object};
+use crate::cache;
+use crate::fields::{self, invalid, Doc, Draft};
+use crate::json::Json;
 use crate::scenario::ScenarioError;
 use crate::scenario_file::{
-    self, AdversarySpec, AgreementSpec, CrashNodesSpec, CrashSpec, EngineKind, PlacementSpec,
-    PointSpec, ProtocolSpec, RbcSpec, ReactiveSpec, ScenarioFile, SourceSpec,
+    AdversarySpec, AgreementSpec, CrashNodesSpec, CrashSpec, EngineKind, PlacementSpec, PointSpec,
+    ProtocolSpec, RbcSpec, ReactiveSpec, ScenarioFile, SourceSpec,
 };
-use bftbcast_rbc::{ByzantineBehavior, RbcProtocol, ScheduleKind};
-
-// ---------------------------------------------------------------------
-// Canonical names for the sim-crate enums (both codec directions).
-// ---------------------------------------------------------------------
-
-/// The grammar's name for a slot-engine adversary (also the cache-key
-/// spelling in [`crate::cache::point_key`]).
-pub fn reactive_adversary_name(adv: ReactiveAdversary) -> &'static str {
-    match adv {
-        ReactiveAdversary::Passive => "passive",
-        ReactiveAdversary::Jammer => "jammer",
-        ReactiveAdversary::Canceller => "canceller",
-        ReactiveAdversary::NackForger => "nack_forger",
-        ReactiveAdversary::WitnessForger => "witness_forger",
-        ReactiveAdversary::Mixed => "mixed",
-    }
-}
-
-/// The inverse of [`reactive_adversary_name`].
-pub fn reactive_adversary_from_name(name: &str) -> Option<ReactiveAdversary> {
-    Some(match name {
-        "passive" => ReactiveAdversary::Passive,
-        "jammer" => ReactiveAdversary::Jammer,
-        "canceller" => ReactiveAdversary::Canceller,
-        "nack_forger" => ReactiveAdversary::NackForger,
-        "witness_forger" => ReactiveAdversary::WitnessForger,
-        "mixed" => ReactiveAdversary::Mixed,
-        _ => return None,
-    })
-}
-
-/// The grammar's name for an agreement mode.
-pub fn agreement_mode_name(mode: AgreementMode) -> &'static str {
-    match mode {
-        AgreementMode::Cheap => "cheap",
-        AgreementMode::Proven => "proven",
-    }
-}
-
-/// The inverse of [`agreement_mode_name`].
-pub fn agreement_mode_from_name(name: &str) -> Option<AgreementMode> {
-    Some(match name {
-        "cheap" => AgreementMode::Cheap,
-        "proven" => AgreementMode::Proven,
-        _ => return None,
-    })
-}
-
-fn invalid(what: &str, message: impl Into<String>) -> ScenarioError {
-    ScenarioError::Invalid {
-        what: what.to_string(),
-        message: message.into(),
-    }
-}
 
 // ---------------------------------------------------------------------
 // EngineSpec
@@ -195,7 +140,7 @@ impl EngineSpec {
         probes: Vec<(u32, u32)>,
     ) -> Result<EngineSpec, ScenarioError> {
         point.label.clear();
-        validate_spec(&name, engine, &point, &probes)?;
+        validate(&name, engine, &point, &probes)?;
         Ok(EngineSpec {
             name,
             engine,
@@ -245,100 +190,161 @@ impl EngineSpec {
     }
 }
 
-/// Validation shared by every `EngineSpec` entry path: the same
-/// cross-field rules the `.scn` grammar enforces at parse time, so a
-/// spec assembled by hand or decoded from JSON can never describe a
-/// configuration a scenario file could not.
-fn validate_spec(
+/// The one validator every entry path runs — `SpecBuilder`, JSON,
+/// `.scn` parsing (the base document and every sweep-axis value) and
+/// `run --set`. Everything that would otherwise surface as an engine
+/// assert at run time — on a `sweep()` worker thread, aborting the
+/// batch — fails here with a [`ScenarioError`] instead.
+pub(crate) fn validate(
     name: &str,
     engine: EngineKind,
     point: &PointSpec,
     probes: &[(u32, u32)],
 ) -> Result<(), ScenarioError> {
+    use EngineKind::{Agreement, Counting, Crash, Rbc, Slot};
     if name
         .chars()
         .any(|c| (c as u32) < 0x20 && c != '\n' && c != '\t')
     {
         return Err(invalid("name", "control characters are not representable"));
     }
-    // Inapplicable configuration must be at its defaults — mirrors the
-    // grammar's section/engine applicability, and keeps the codecs
-    // lossless (there is no `.scn` spelling for, say, a slot spec
-    // carrying a counting protocol).
-    if !matches!(engine, EngineKind::Counting | EngineKind::Crash)
-        && point.protocol != ProtocolSpec::B
-    {
+    // Inapplicable configuration must be at its defaults: documents
+    // cannot spell it, and the codecs omit it.
+    if let Some(what) = fields::off_default(engine, point) {
+        return Err(invalid(what, fields::not_on(engine)));
+    }
+    if engine == Crash && point.crash.is_none() {
         return Err(invalid(
-            "protocol",
-            format!("does not apply to engine = \"{}\"", engine.name()),
+            "crash",
+            "the crash engine needs a crash fault load",
         ));
     }
-    if engine != EngineKind::Counting && point.adversary != AdversarySpec::Oracle {
-        return Err(invalid(
-            "adversary",
-            format!("does not apply to engine = \"{}\"", engine.name()),
-        ));
-    }
-    match engine {
-        EngineKind::Crash => {
-            if point.crash.is_none() {
-                return Err(invalid(
-                    "crash",
-                    "the crash engine needs a crash fault load",
-                ));
-            }
+    match point.protocol {
+        ProtocolSpec::CrashOnly if engine != Crash => {
+            return Err(invalid(
+                "protocol.kind",
+                "crash_only applies to the crash engine only",
+            ))
         }
-        _ => {
-            if point.crash.is_some() {
-                return Err(invalid(
-                    "crash",
-                    format!("does not apply to engine = \"{}\"", engine.name()),
-                ));
-            }
-        }
-    }
-    if engine != EngineKind::Slot && point.reactive != ReactiveSpec::default() {
-        return Err(invalid(
-            "reactive",
-            format!("does not apply to engine = \"{}\"", engine.name()),
-        ));
-    }
-    if engine != EngineKind::Agreement && point.agreement != AgreementSpec::default() {
-        return Err(invalid(
-            "agreement",
-            format!("does not apply to engine = \"{}\"", engine.name()),
-        ));
-    }
-    if engine != EngineKind::Rbc && point.rbc != RbcSpec::default() {
-        return Err(invalid(
-            "rbc",
-            format!("does not apply to engine = \"{}\"", engine.name()),
-        ));
-    }
-    if point.protocol == ProtocolSpec::CrashOnly && engine != EngineKind::Crash {
-        return Err(invalid(
-            "protocol.kind",
-            "crash_only applies to the crash engine only",
-        ));
-    }
-    if matches!(point.protocol, ProtocolSpec::Majority { .. }) {
-        if engine != EngineKind::Counting {
+        ProtocolSpec::Majority { .. } if engine != Counting => {
             return Err(invalid(
                 "protocol.kind",
                 "majority applies to the counting engine only",
-            ));
+            ))
         }
-        if point.adversary != AdversarySpec::Oracle {
+        ProtocolSpec::Majority { .. } if point.adversary != AdversarySpec::Oracle => {
             return Err(invalid(
-                "adversary.kind",
+                "adversary",
                 "the majority protocol is driven by the per-receiver oracle only",
+            ))
+        }
+        _ => {}
+    }
+    let (w, h) = (point.width, point.height);
+    let on_torus =
+        |what: &str, cells: &[(u32, u32)]| match cells.iter().find(|&&(x, y)| x >= w || y >= h) {
+            Some((x, y)) => Err(invalid(
+                what,
+                format!("cell ({x}, {y}) is off the {w}x{h} torus"),
+            )),
+            None => Ok(()),
+        };
+    on_torus("source", &[point.source])?;
+    for &(x, y) in probes {
+        check_probe_cell(x, y, w, h)?;
+    }
+    match point.placement {
+        PlacementSpec::Explicit(ref cells) => on_torus("placement.nodes", cells)?,
+        PlacementSpec::Lattice { offset } => {
+            // The placement asserts this; a point must fail here instead.
+            let lattice = bftbcast_adversary::LatticePlacement { t: point.t, offset };
+            if let Some(why) = lattice.misfit(w, h, point.r) {
+                return Err(invalid("placement", why));
+            }
+        }
+        _ => {}
+    }
+    if let Some(CrashSpec {
+        nodes: CrashNodesSpec::Explicit(cells),
+        ..
+    }) = &point.crash
+    {
+        on_torus("crash.nodes", cells)?;
+    }
+    let rate = match point.placement {
+        PlacementSpec::Bernoulli { p } => p,
+        _ => 0.0,
+    };
+    for (what, fraction) in [
+        ("placement.p", rate),
+        ("agreement.p1", point.agreement.p1),
+        ("agreement.pe", point.agreement.pe),
+    ] {
+        if !(0.0..=1.0).contains(&fraction) {
+            return Err(invalid(what, "fractions must lie in [0, 1]"));
+        }
+    }
+    if engine == Slot && !(1..=63).contains(&point.reactive.k) {
+        return Err(invalid(
+            "reactive.k",
+            "payload width must lie in 1..=63 bits",
+        ));
+    }
+    if engine == Rbc {
+        let rbc = &point.rbc;
+        if !(1..=1_048_576).contains(&rbc.payload) {
+            return Err(invalid(
+                "rbc.payload",
+                "payload must lie in 1..=1048576 bits",
+            ));
+        }
+        let floor = 2 * (u64::from(point.t) + 1);
+        if rbc.protocol == RbcProtocol::Ctrbc && u64::from(rbc.payload) < floor {
+            return Err(invalid(
+                "rbc.payload",
+                format!(
+                    "ctrbc splits the payload into t+1 fragments and needs at least \
+                     2(t+1) = {floor} payload bits at t = {}",
+                    point.t
+                ),
+            ));
+        }
+        if rbc.max_waves == 0 {
+            return Err(invalid("rbc.max_waves", "at least one wave is required"));
+        }
+    }
+    if engine == Agreement && point.agreement.mode == AgreementMode::Proven {
+        use bftbcast_protocols::agreement::proven_max_t;
+        if u64::from(point.t) > proven_max_t(point.r) {
+            return Err(invalid(
+                "agreement.mode",
+                format!(
+                    "proven mode requires t <= {} at r = {}",
+                    proven_max_t(point.r),
+                    point.r
+                ),
             ));
         }
     }
-    for &(x, y) in probes {
-        scenario_file::check_probe_cell(x, y, point.width, point.height)?;
+    Ok(())
+}
+
+/// The one off-torus check for probe cells, shared by the validator and
+/// the batch runner's pre-run backstop — so the error text (naming the
+/// cell and the torus) can never diverge between layers.
+pub(crate) fn check_probe_cell(
+    x: u32,
+    y: u32,
+    width: u32,
+    height: u32,
+) -> Result<(), ScenarioError> {
+    if x >= width || y >= height {
+        return Err(invalid(
+            "probes.nodes",
+            format!("probe ({x}, {y}) is off the {width}x{height} torus"),
+        ));
     }
-    scenario_file::validate_point(point, engine)
+    Ok(())
 }
 
 /// Builds the right engine for one fully-resolved point (shared by
@@ -420,22 +426,6 @@ fn build_engine_impl(
         EngineKind::Agreement => {
             use bftbcast_net::Value;
             use bftbcast_sim::agreement::{SourceBehavior, SplitAttack};
-            // Construction-time validation covers this; re-checked here
-            // so a hand-built PointSpec errors instead of asserting on
-            // a sweep() worker thread.
-            if point.agreement.mode == AgreementMode::Proven {
-                use bftbcast_protocols::agreement::proven_max_t;
-                if u64::from(params.t) > proven_max_t(params.r) {
-                    return Err(invalid(
-                        "agreement.mode",
-                        format!(
-                            "proven mode requires t <= {} at r = {}",
-                            proven_max_t(params.r),
-                            params.r
-                        ),
-                    ));
-                }
-            }
             let sim = scenario.agreement_sim();
             let behavior = match point.agreement.source {
                 SourceSpec::Correct => SourceBehavior::Correct,
@@ -497,23 +487,7 @@ impl SpecBuilder {
         SpecBuilder {
             name: "spec".to_string(),
             engine,
-            point: PointSpec {
-                width,
-                height,
-                r,
-                t: 1,
-                mf: 1,
-                source: (0, 0),
-                seed: 0,
-                placement: PlacementSpec::None,
-                protocol: ProtocolSpec::B,
-                adversary: AdversarySpec::Oracle,
-                crash: None,
-                reactive: ReactiveSpec::default(),
-                agreement: AgreementSpec::default(),
-                rbc: RbcSpec::default(),
-                label: Vec::new(),
-            },
+            point: PointSpec::new(width, height, r),
             probes: Vec::new(),
         }
     }
@@ -736,159 +710,27 @@ impl SpecBuilder {
 }
 
 // ---------------------------------------------------------------------
-// JSON codec
+// Codecs, all driven by the field table (crate::fields)
 // ---------------------------------------------------------------------
 
-fn cells_json(cells: &[(u32, u32)]) -> String {
-    let items: Vec<String> = cells.iter().map(|&(x, y)| format!("[{x},{y}]")).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn placement_json(placement: &PlacementSpec) -> String {
-    match placement {
-        PlacementSpec::None => Object::new().str("kind", "none").render(),
-        PlacementSpec::Lattice { offset } => Object::new()
-            .str("kind", "lattice")
-            .u64("offset", u64::from(*offset))
-            .render(),
-        PlacementSpec::Stripes(stripes) => {
-            let items: Vec<String> = stripes
-                .iter()
-                .map(|&(y0, t, above)| format!("[{y0},{t},{above}]"))
-                .collect();
-            Object::new()
-                .str("kind", "stripes")
-                .raw("stripes", format!("[{}]", items.join(",")))
-                .render()
-        }
-        PlacementSpec::Random { count } => Object::new()
-            .str("kind", "random")
-            .u64("count", *count as u64)
-            .render(),
-        PlacementSpec::Bernoulli { p } => {
-            Object::new().str("kind", "bernoulli").f64("p", *p).render()
-        }
-        PlacementSpec::Explicit(cells) => Object::new()
-            .str("kind", "explicit")
-            .raw("nodes", cells_json(cells))
-            .render(),
-    }
-}
-
-fn protocol_json(protocol: &ProtocolSpec) -> String {
-    match protocol {
-        ProtocolSpec::B => Object::new().str("kind", "b").render(),
-        ProtocolSpec::Koo => Object::new().str("kind", "koo").render(),
-        ProtocolSpec::Heter => Object::new().str("kind", "heter").render(),
-        ProtocolSpec::Starved { m } => Object::new().str("kind", "starved").u64("m", *m).render(),
-        ProtocolSpec::Majority { quorum } => Object::new()
-            .str("kind", "majority")
-            .u64("quorum", *quorum)
-            .render(),
-        ProtocolSpec::CrashOnly => Object::new().str("kind", "crash_only").render(),
-    }
-}
-
-fn crash_json(crash: &CrashSpec) -> String {
-    let nodes = match &crash.nodes {
-        CrashNodesSpec::Stripe { y0, height } => Object::new()
-            .str("kind", "stripe")
-            .u64("y0", u64::from(*y0))
-            .u64("height", u64::from(*height))
-            .render(),
-        CrashNodesSpec::Explicit(cells) => Object::new()
-            .str("kind", "explicit")
-            .raw("nodes", cells_json(cells))
-            .render(),
-    };
-    let behavior = match crash.behavior {
-        CrashBehavior::Immediate => Object::new().str("kind", "immediate").render(),
-        CrashBehavior::AfterQuota => Object::new().str("kind", "after_quota").render(),
-        CrashBehavior::AfterCopies(n) => Object::new()
-            .str("kind", "after_copies")
-            .u64("after", n)
-            .render(),
-    };
-    Object::new()
-        .raw("nodes", nodes)
-        .raw("behavior", behavior)
-        .render()
-}
-
-fn reactive_json(reactive: &ReactiveSpec) -> String {
-    Object::new()
-        .u64("k", reactive.k as u64)
-        .u64("mmax", reactive.mmax)
-        .str("adversary", reactive_adversary_name(reactive.adversary))
-        .raw(
-            "budget",
-            reactive
-                .budget
-                .map_or("null".to_string(), |b| b.to_string()),
-        )
-        .u64("max_rounds", reactive.max_rounds)
-        .render()
-}
-
-fn rbc_json(rbc: &RbcSpec) -> String {
-    Object::new()
-        .str("protocol", rbc.protocol.name())
-        .u64("payload", u64::from(rbc.payload))
-        .u64("max_waves", rbc.max_waves)
-        .str("schedule", rbc.schedule.name())
-        .str("behavior", rbc.behavior.name())
-        .render()
-}
-
-fn agreement_json(agreement: &AgreementSpec) -> String {
-    Object::new()
-        .str("mode", agreement_mode_name(agreement.mode))
-        .str("source", agreement.source.name())
-        .f64("p1", agreement.p1)
-        .f64("pe", agreement.pe)
-        .render()
-}
-
 impl EngineSpec {
+    fn doc(&self) -> Doc<'_> {
+        Doc {
+            name: &self.name,
+            engine: self.engine,
+            point: &self.point,
+            probes: &self.probes,
+        }
+    }
+
     /// Renders the spec as one line of canonical JSON — the wire form
     /// (`{"cmd":"submit","spec":{...}}`) and the `bftbcast spec`
-    /// interchange form. Field names follow
-    /// [`crate::cache::point_key`]'s record; sections that do not apply
-    /// to the engine are omitted (they are at their defaults by
-    /// construction).
+    /// interchange form. Fields are in ascending name order, with the
+    /// names of [`crate::cache::point_key`]'s record; fields that do
+    /// not apply to the engine are omitted (they are at their defaults
+    /// by construction).
     pub fn to_json(&self) -> String {
-        let mut o = Object::new()
-            .u64("version", u64::from(CACHE_SCHEMA_VERSION))
-            .str("name", &self.name)
-            .str("engine", self.engine.name())
-            .u64("width", u64::from(self.point.width))
-            .u64("height", u64::from(self.point.height))
-            .u64("r", u64::from(self.point.r))
-            .u64("t", u64::from(self.point.t))
-            .u64("mf", self.point.mf)
-            .u64("source_x", u64::from(self.point.source.0))
-            .u64("source_y", u64::from(self.point.source.1))
-            .u64("seed", self.point.seed)
-            .raw("placement", placement_json(&self.point.placement));
-        if matches!(self.engine, EngineKind::Counting | EngineKind::Crash) {
-            o = o.raw("protocol", protocol_json(&self.point.protocol));
-        }
-        if self.engine == EngineKind::Counting {
-            o = o.str("adversary", self.point.adversary.name());
-        }
-        if let Some(crash) = &self.point.crash {
-            o = o.raw("crash", crash_json(crash));
-        }
-        if self.engine == EngineKind::Slot {
-            o = o.raw("reactive", reactive_json(&self.point.reactive));
-        }
-        if self.engine == EngineKind::Agreement {
-            o = o.raw("agreement", agreement_json(&self.point.agreement));
-        }
-        if self.engine == EngineKind::Rbc {
-            o = o.raw("rbc", rbc_json(&self.point.rbc));
-        }
-        o.raw("probes", cells_json(&self.probes)).render()
+        fields::to_json(&self.doc())
     }
 
     /// Parses a spec from canonical JSON text.
@@ -908,697 +750,19 @@ impl EngineSpec {
     /// # Errors
     ///
     /// [`ScenarioError`] for unknown/missing/mistyped fields or any
-    /// validation failure — the same strictness as the `.scn` grammar.
+    /// validation failure — the decoder and validator of the `.scn`
+    /// grammar.
     pub fn from_json_value(doc: &Json) -> Result<EngineSpec, ScenarioError> {
-        let Json::Obj(fields) = doc else {
-            return Err(invalid("spec", "expected a JSON object"));
-        };
-        const ALLOWED: &[&str] = &[
-            "version",
-            "name",
-            "engine",
-            "width",
-            "height",
-            "r",
-            "t",
-            "mf",
-            "source_x",
-            "source_y",
-            "seed",
-            "placement",
-            "protocol",
-            "adversary",
-            "crash",
-            "reactive",
-            "agreement",
-            "rbc",
-            "probes",
-        ];
-        for (key, _) in fields {
-            if !ALLOWED.contains(&key.as_str()) {
-                return Err(ScenarioError::UnknownKey {
-                    section: "spec".to_string(),
-                    key: key.clone(),
-                });
-            }
-        }
-        if let Some(v) = doc.get("version") {
-            let version = v
-                .as_u64()
-                .ok_or_else(|| invalid("spec.version", "expected an integer"))?;
-            if version != u64::from(CACHE_SCHEMA_VERSION) {
-                return Err(invalid(
-                    "spec.version",
-                    format!("unsupported spec version {version} (this build speaks {CACHE_SCHEMA_VERSION})"),
-                ));
-            }
-        }
-        let name = match doc.get("name") {
-            None => "spec".to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| invalid("spec.name", "expected a string"))?
-                .to_string(),
-        };
-        let engine_name = match doc.get("engine") {
-            None => "counting",
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| invalid("spec.engine", "expected a string"))?,
-        };
-        let engine = EngineKind::from_name(engine_name).ok_or_else(|| {
-            invalid(
-                "spec.engine",
-                format!("unknown engine {engine_name:?} (counting|crash|slot|agreement|rbc)"),
-            )
-        })?;
-        // `*_or`: absent ⇒ the grammar's default (unlike the strict
-        // module-level `u32_field`/`u64_field`, which require the key).
-        let u32_or = |key: &str, default: u32| -> Result<u32, ScenarioError> {
-            match doc.get(key) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| {
-                        invalid(
-                            &format!("spec.{key}"),
-                            "expected a non-negative 32-bit integer",
-                        )
-                    }),
-            }
-        };
-        let u64_or = |key: &str, default: u64| -> Result<u64, ScenarioError> {
-            match doc.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_u64().ok_or_else(|| {
-                    invalid(&format!("spec.{key}"), "expected a non-negative integer")
-                }),
-            }
-        };
-        let width = doc
-            .get("width")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| invalid("spec.width", "required non-negative 32-bit integer"))?;
-        let height = doc
-            .get("height")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| invalid("spec.height", "required non-negative 32-bit integer"))?;
-        let r = doc
-            .get("r")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| invalid("spec.r", "required non-negative 32-bit integer"))?;
-        let point = PointSpec {
-            width,
-            height,
-            r,
-            t: u32_or("t", 1)?,
-            mf: u64_or("mf", 1)?,
-            source: (u32_or("source_x", 0)?, u32_or("source_y", 0)?),
-            seed: u64_or("seed", 0)?,
-            placement: match doc.get("placement") {
-                None => PlacementSpec::None,
-                Some(v) => placement_from_json(v)?,
-            },
-            protocol: match doc.get("protocol") {
-                None => ProtocolSpec::B,
-                Some(v) => protocol_from_json(v)?,
-            },
-            adversary: match doc.get("adversary") {
-                None => AdversarySpec::Oracle,
-                Some(v) => {
-                    let kind = v
-                        .as_str()
-                        .ok_or_else(|| invalid("spec.adversary", "expected a string"))?;
-                    AdversarySpec::from_name(kind).ok_or_else(|| {
-                        invalid(
-                            "spec.adversary",
-                            format!("unknown adversary {kind:?} (oracle|greedy|chaos|passive)"),
-                        )
-                    })?
-                }
-            },
-            crash: match doc.get("crash") {
-                None => None,
-                Some(v) => Some(crash_from_json(v)?),
-            },
-            reactive: match doc.get("reactive") {
-                None => ReactiveSpec::default(),
-                Some(v) => reactive_from_json(v)?,
-            },
-            agreement: match doc.get("agreement") {
-                None => AgreementSpec::default(),
-                Some(v) => agreement_from_json(v)?,
-            },
-            rbc: match doc.get("rbc") {
-                None => RbcSpec::default(),
-                Some(v) => rbc_from_json(v)?,
-            },
-            label: Vec::new(),
-        };
-        let probes = match doc.get("probes") {
-            None => Vec::new(),
-            Some(v) => cells_from_json("spec.probes", v)?,
-        };
-        EngineSpec::from_parts(name, engine, point, probes)
+        let mut d = Draft::new("spec");
+        fields::decode_json(doc, &mut d)?;
+        EngineSpec::from_parts(d.name, d.engine, d.point, d.probes)
     }
-}
 
-fn obj_fields<'a>(what: &str, v: &'a Json, allowed: &[&str]) -> Result<&'a Json, ScenarioError> {
-    let Json::Obj(fields) = v else {
-        return Err(invalid(what, "expected a JSON object"));
-    };
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ScenarioError::UnknownKey {
-                section: what.to_string(),
-                key: key.clone(),
-            });
-        }
-    }
-    Ok(v)
-}
-
-fn str_field<'a>(what: &str, v: &'a Json, key: &str) -> Result<&'a str, ScenarioError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| invalid(&format!("{what}.{key}"), "expected a string"))
-}
-
-fn u64_field(what: &str, v: &Json, key: &str) -> Result<u64, ScenarioError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| invalid(&format!("{what}.{key}"), "expected a non-negative integer"))
-}
-
-fn u32_field(what: &str, v: &Json, key: &str) -> Result<u32, ScenarioError> {
-    u64_field(what, v, key).and_then(|n| {
-        u32::try_from(n).map_err(|_| invalid(&format!("{what}.{key}"), "expected a 32-bit integer"))
-    })
-}
-
-fn f64_field(what: &str, v: &Json, key: &str) -> Result<f64, ScenarioError> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| invalid(&format!("{what}.{key}"), "expected a number"))
-}
-
-fn cells_from_json(what: &str, v: &Json) -> Result<Vec<(u32, u32)>, ScenarioError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| invalid(what, "expected an array of [x, y] pairs"))?;
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let pair = item
-            .as_array()
-            .ok_or_else(|| invalid(what, "each entry must be an [x, y] pair"))?;
-        let [x, y] = pair else {
-            return Err(invalid(what, "each entry must be two integers"));
-        };
-        let (Some(x), Some(y)) = (x.as_u64(), y.as_u64()) else {
-            return Err(invalid(what, "coordinates must be non-negative integers"));
-        };
-        let (Ok(x), Ok(y)) = (u32::try_from(x), u32::try_from(y)) else {
-            return Err(invalid(what, "coordinates must fit 32 bits"));
-        };
-        out.push((x, y));
-    }
-    Ok(out)
-}
-
-fn placement_from_json(v: &Json) -> Result<PlacementSpec, ScenarioError> {
-    let what = "spec.placement";
-    obj_fields(
-        what,
-        v,
-        &["kind", "offset", "stripes", "count", "p", "nodes"],
-    )?;
-    Ok(match str_field(what, v, "kind")? {
-        "none" => PlacementSpec::None,
-        "lattice" => PlacementSpec::Lattice {
-            // Absent ⇒ the grammar's default offset, exactly as `.scn`.
-            offset: match v.get("offset") {
-                None => 1,
-                Some(_) => u32_field(what, v, "offset")?,
-            },
-        },
-        "stripes" => {
-            let items = v
-                .get("stripes")
-                .and_then(Json::as_array)
-                .ok_or_else(|| invalid(what, "stripes must be [[y0, t, above], ...]"))?;
-            let mut stripes = Vec::with_capacity(items.len());
-            for item in items {
-                let triple = item
-                    .as_array()
-                    .ok_or_else(|| invalid(what, "each stripe is [y0, t, above]"))?;
-                let [y0, t, above] = triple else {
-                    return Err(invalid(what, "each stripe is [int y0, int t, bool above]"));
-                };
-                let (Some(y0), Some(t), Some(above)) = (
-                    y0.as_u64().and_then(|n| u32::try_from(n).ok()),
-                    t.as_u64().and_then(|n| u32::try_from(n).ok()),
-                    above.as_bool(),
-                ) else {
-                    return Err(invalid(what, "each stripe is [int y0, int t, bool above]"));
-                };
-                stripes.push((y0, t, above));
-            }
-            PlacementSpec::Stripes(stripes)
-        }
-        "random" => PlacementSpec::Random {
-            count: u64_field(what, v, "count")? as usize,
-        },
-        "bernoulli" => PlacementSpec::Bernoulli {
-            p: f64_field(what, v, "p")?,
-        },
-        "explicit" => PlacementSpec::Explicit(cells_from_json(
-            what,
-            v.get("nodes")
-                .ok_or_else(|| invalid(what, "explicit needs nodes"))?,
-        )?),
-        other => {
-            return Err(invalid(
-                what,
-                format!("unknown kind {other:?} (none|lattice|stripes|random|bernoulli|explicit)"),
-            ))
-        }
-    })
-}
-
-fn protocol_from_json(v: &Json) -> Result<ProtocolSpec, ScenarioError> {
-    let what = "spec.protocol";
-    obj_fields(what, v, &["kind", "m", "quorum"])?;
-    Ok(match str_field(what, v, "kind")? {
-        "b" => ProtocolSpec::B,
-        "koo" => ProtocolSpec::Koo,
-        "heter" => ProtocolSpec::Heter,
-        "starved" => ProtocolSpec::Starved {
-            m: u64_field(what, v, "m")?,
-        },
-        "majority" => ProtocolSpec::Majority {
-            quorum: u64_field(what, v, "quorum")?,
-        },
-        "crash_only" => ProtocolSpec::CrashOnly,
-        other => {
-            return Err(invalid(
-                what,
-                format!("unknown kind {other:?} (b|koo|heter|starved|majority|crash_only)"),
-            ))
-        }
-    })
-}
-
-fn crash_from_json(v: &Json) -> Result<CrashSpec, ScenarioError> {
-    let what = "spec.crash";
-    obj_fields(what, v, &["nodes", "behavior"])?;
-    let nodes_v = v
-        .get("nodes")
-        .ok_or_else(|| invalid(what, "crash needs nodes"))?;
-    obj_fields(
-        "spec.crash.nodes",
-        nodes_v,
-        &["kind", "y0", "height", "nodes"],
-    )?;
-    let nodes = match str_field("spec.crash.nodes", nodes_v, "kind")? {
-        "stripe" => CrashNodesSpec::Stripe {
-            y0: u32_field("spec.crash.nodes", nodes_v, "y0")?,
-            height: match nodes_v.get("height") {
-                None => 1,
-                Some(_) => u32_field("spec.crash.nodes", nodes_v, "height")?,
-            },
-        },
-        "explicit" => CrashNodesSpec::Explicit(cells_from_json(
-            "spec.crash.nodes",
-            nodes_v
-                .get("nodes")
-                .ok_or_else(|| invalid("spec.crash.nodes", "explicit needs nodes"))?,
-        )?),
-        other => {
-            return Err(invalid(
-                "spec.crash.nodes",
-                format!("unknown kind {other:?} (stripe|explicit)"),
-            ))
-        }
-    };
-    let behavior = match v.get("behavior") {
-        None => CrashBehavior::Immediate,
-        Some(behavior_v) => {
-            obj_fields("spec.crash.behavior", behavior_v, &["kind", "after"])?;
-            match str_field("spec.crash.behavior", behavior_v, "kind")? {
-                "immediate" => CrashBehavior::Immediate,
-                "after_quota" => CrashBehavior::AfterQuota,
-                "after_copies" => CrashBehavior::AfterCopies(u64_field(
-                    "spec.crash.behavior",
-                    behavior_v,
-                    "after",
-                )?),
-                other => {
-                    return Err(invalid(
-                        "spec.crash.behavior",
-                        format!("unknown kind {other:?} (immediate|after_quota|after_copies)"),
-                    ))
-                }
-            }
-        }
-    };
-    Ok(CrashSpec { nodes, behavior })
-}
-
-fn reactive_from_json(v: &Json) -> Result<ReactiveSpec, ScenarioError> {
-    let what = "spec.reactive";
-    obj_fields(what, v, &["k", "mmax", "adversary", "budget", "max_rounds"])?;
-    let defaults = ReactiveSpec::default();
-    let adversary = match v.get("adversary") {
-        None => defaults.adversary,
-        Some(a) => {
-            let name = a
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{what}.adversary"), "expected a string"))?;
-            reactive_adversary_from_name(name).ok_or_else(|| {
-                invalid(
-                    &format!("{what}.adversary"),
-                    format!(
-                        "unknown adversary {name:?} \
-                         (passive|jammer|canceller|nack_forger|witness_forger|mixed)"
-                    ),
-                )
-            })?
-        }
-    };
-    let budget = match v.get("budget") {
-        None | Some(Json::Null) => None,
-        Some(b) => Some(
-            b.as_u64()
-                .ok_or_else(|| invalid(&format!("{what}.budget"), "expected null or an integer"))?,
-        ),
-    };
-    Ok(ReactiveSpec {
-        k: match v.get("k") {
-            None => defaults.k,
-            Some(_) => u64_field(what, v, "k")? as usize,
-        },
-        mmax: match v.get("mmax") {
-            None => defaults.mmax,
-            Some(_) => u64_field(what, v, "mmax")?,
-        },
-        adversary,
-        budget,
-        max_rounds: match v.get("max_rounds") {
-            None => defaults.max_rounds,
-            Some(_) => u64_field(what, v, "max_rounds")?,
-        },
-    })
-}
-
-fn agreement_from_json(v: &Json) -> Result<AgreementSpec, ScenarioError> {
-    let what = "spec.agreement";
-    obj_fields(what, v, &["mode", "source", "p1", "pe"])?;
-    let defaults = AgreementSpec::default();
-    let mode = match v.get("mode") {
-        None => defaults.mode,
-        Some(m) => {
-            let name = m
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{what}.mode"), "expected a string"))?;
-            agreement_mode_from_name(name).ok_or_else(|| {
-                invalid(
-                    &format!("{what}.mode"),
-                    format!("unknown mode {name:?} (cheap|proven)"),
-                )
-            })?
-        }
-    };
-    let source = match v.get("source") {
-        None => defaults.source,
-        Some(s) => {
-            let name = s
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{what}.source"), "expected a string"))?;
-            SourceSpec::from_name(name).ok_or_else(|| {
-                invalid(
-                    &format!("{what}.source"),
-                    format!("unknown source {name:?} (correct|split|silent)"),
-                )
-            })?
-        }
-    };
-    Ok(AgreementSpec {
-        mode,
-        source,
-        p1: match v.get("p1") {
-            None => defaults.p1,
-            Some(_) => f64_field(what, v, "p1")?,
-        },
-        pe: match v.get("pe") {
-            None => defaults.pe,
-            Some(_) => f64_field(what, v, "pe")?,
-        },
-    })
-}
-
-fn rbc_from_json(v: &Json) -> Result<RbcSpec, ScenarioError> {
-    let what = "spec.rbc";
-    obj_fields(
-        what,
-        v,
-        &["protocol", "payload", "max_waves", "schedule", "behavior"],
-    )?;
-    let defaults = RbcSpec::default();
-    let protocol = match v.get("protocol") {
-        None => defaults.protocol,
-        Some(p) => {
-            let name = p
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{what}.protocol"), "expected a string"))?;
-            RbcProtocol::from_name(name).ok_or_else(|| {
-                invalid(
-                    &format!("{what}.protocol"),
-                    format!("unknown protocol {name:?} (counting|bracha|ctrbc)"),
-                )
-            })?
-        }
-    };
-    let schedule = match v.get("schedule") {
-        None => defaults.schedule,
-        Some(p) => {
-            let name = p
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{what}.schedule"), "expected a string"))?;
-            ScheduleKind::from_name(name).ok_or_else(|| {
-                invalid(
-                    &format!("{what}.schedule"),
-                    format!(
-                        "unknown schedule {name:?} \
-                         (seeded|fifo|delay_quorum|targeted_reorder|gst)"
-                    ),
-                )
-            })?
-        }
-    };
-    let behavior = match v.get("behavior") {
-        None => defaults.behavior,
-        Some(p) => {
-            let name = p
-                .as_str()
-                .ok_or_else(|| invalid(&format!("{what}.behavior"), "expected a string"))?;
-            ByzantineBehavior::from_name(name).ok_or_else(|| {
-                invalid(
-                    &format!("{what}.behavior"),
-                    format!(
-                        "unknown behavior {name:?} \
-                         (mute|equivocate|selective_send|stale_replay)"
-                    ),
-                )
-            })?
-        }
-    };
-    Ok(RbcSpec {
-        protocol,
-        payload: match v.get("payload") {
-            None => defaults.payload,
-            Some(_) => u32_field(what, v, "payload")?,
-        },
-        max_waves: match v.get("max_waves") {
-            None => defaults.max_waves,
-            Some(_) => u64_field(what, v, "max_waves")?,
-        },
-        schedule,
-        behavior,
-    })
-}
-
-// ---------------------------------------------------------------------
-// .scn codec
-// ---------------------------------------------------------------------
-
-/// Escapes a string for a `.scn` quoted literal.
-fn scn_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn scn_cells(cells: &[(u32, u32)]) -> String {
-    let items: Vec<String> = cells.iter().map(|&(x, y)| format!("[{x}, {y}]")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-impl EngineSpec {
     /// Renders the spec as a canonical, sweep-free `.scn` document
     /// (every resolved value spelled out explicitly; sections that do
     /// not apply to the engine omitted).
     pub fn to_scn(&self) -> String {
-        let p = &self.point;
-        let mut s = String::new();
-        let _ = writeln!(s, "name = {}", scn_string(&self.name));
-        let _ = writeln!(s, "engine = {}", scn_string(self.engine.name()));
-        let _ = writeln!(s, "seed = {}", p.seed);
-        let _ = writeln!(s, "\n[topology]");
-        let _ = writeln!(s, "width = {}", p.width);
-        let _ = writeln!(s, "height = {}", p.height);
-        let _ = writeln!(s, "r = {}", p.r);
-        let _ = writeln!(s, "\n[faults]");
-        let _ = writeln!(s, "t = {}", p.t);
-        let _ = writeln!(s, "mf = {}", p.mf);
-        let _ = writeln!(s, "\n[source]");
-        let _ = writeln!(s, "x = {}", p.source.0);
-        let _ = writeln!(s, "y = {}", p.source.1);
-        let _ = writeln!(s, "\n[placement]");
-        match &p.placement {
-            PlacementSpec::None => {
-                let _ = writeln!(s, "kind = \"none\"");
-            }
-            PlacementSpec::Lattice { offset } => {
-                let _ = writeln!(s, "kind = \"lattice\"");
-                let _ = writeln!(s, "offset = {offset}");
-            }
-            PlacementSpec::Stripes(stripes) => {
-                let _ = writeln!(s, "kind = \"stripes\"");
-                let items: Vec<String> = stripes
-                    .iter()
-                    .map(|&(y0, t, above)| format!("[{y0}, {t}, {above}]"))
-                    .collect();
-                let _ = writeln!(s, "stripes = [{}]", items.join(", "));
-            }
-            PlacementSpec::Random { count } => {
-                let _ = writeln!(s, "kind = \"random\"");
-                let _ = writeln!(s, "count = {count}");
-            }
-            PlacementSpec::Bernoulli { p: rate } => {
-                let _ = writeln!(s, "kind = \"bernoulli\"");
-                let _ = writeln!(s, "p = {rate}");
-            }
-            PlacementSpec::Explicit(cells) => {
-                let _ = writeln!(s, "kind = \"explicit\"");
-                let _ = writeln!(s, "nodes = {}", scn_cells(cells));
-            }
-        }
-        if matches!(self.engine, EngineKind::Counting | EngineKind::Crash) {
-            let _ = writeln!(s, "\n[protocol]");
-            match p.protocol {
-                ProtocolSpec::B => {
-                    let _ = writeln!(s, "kind = \"b\"");
-                }
-                ProtocolSpec::Koo => {
-                    let _ = writeln!(s, "kind = \"koo\"");
-                }
-                ProtocolSpec::Heter => {
-                    let _ = writeln!(s, "kind = \"heter\"");
-                }
-                ProtocolSpec::Starved { m } => {
-                    let _ = writeln!(s, "kind = \"starved\"");
-                    let _ = writeln!(s, "m = {m}");
-                }
-                ProtocolSpec::Majority { quorum } => {
-                    let _ = writeln!(s, "kind = \"majority\"");
-                    let _ = writeln!(s, "quorum = {quorum}");
-                }
-                ProtocolSpec::CrashOnly => {
-                    let _ = writeln!(s, "kind = \"crash_only\"");
-                }
-            }
-        }
-        if self.engine == EngineKind::Counting {
-            let _ = writeln!(s, "\n[adversary]");
-            let _ = writeln!(s, "kind = {}", scn_string(p.adversary.name()));
-        }
-        if let Some(crash) = &p.crash {
-            let _ = writeln!(s, "\n[crash]");
-            match &crash.nodes {
-                CrashNodesSpec::Stripe { y0, height } => {
-                    let _ = writeln!(s, "kind = \"stripe\"");
-                    let _ = writeln!(s, "y0 = {y0}");
-                    let _ = writeln!(s, "height = {height}");
-                }
-                CrashNodesSpec::Explicit(cells) => {
-                    let _ = writeln!(s, "kind = \"explicit\"");
-                    let _ = writeln!(s, "nodes = {}", scn_cells(cells));
-                }
-            }
-            match crash.behavior {
-                CrashBehavior::Immediate => {
-                    let _ = writeln!(s, "behavior = \"immediate\"");
-                }
-                CrashBehavior::AfterQuota => {
-                    let _ = writeln!(s, "behavior = \"after_quota\"");
-                }
-                CrashBehavior::AfterCopies(n) => {
-                    let _ = writeln!(s, "after = {n}");
-                }
-            }
-        }
-        if self.engine == EngineKind::Slot {
-            let _ = writeln!(s, "\n[reactive]");
-            let _ = writeln!(s, "k = {}", p.reactive.k);
-            let _ = writeln!(s, "mmax = {}", p.reactive.mmax);
-            let _ = writeln!(
-                s,
-                "adversary = {}",
-                scn_string(reactive_adversary_name(p.reactive.adversary))
-            );
-            if let Some(budget) = p.reactive.budget {
-                let _ = writeln!(s, "budget = {budget}");
-            }
-            let _ = writeln!(s, "max_rounds = {}", p.reactive.max_rounds);
-        }
-        if self.engine == EngineKind::Agreement {
-            let _ = writeln!(s, "\n[agreement]");
-            let _ = writeln!(
-                s,
-                "mode = {}",
-                scn_string(agreement_mode_name(p.agreement.mode))
-            );
-            let _ = writeln!(s, "source = {}", scn_string(p.agreement.source.name()));
-            let _ = writeln!(s, "p1 = {}", p.agreement.p1);
-            let _ = writeln!(s, "pe = {}", p.agreement.pe);
-        }
-        if self.engine == EngineKind::Rbc {
-            let _ = writeln!(s, "\n[rbc]");
-            let _ = writeln!(s, "protocol = {}", scn_string(p.rbc.protocol.name()));
-            let _ = writeln!(s, "payload = {}", p.rbc.payload);
-            let _ = writeln!(s, "max_waves = {}", p.rbc.max_waves);
-            let _ = writeln!(s, "schedule = {}", scn_string(p.rbc.schedule.name()));
-            let _ = writeln!(s, "behavior = {}", scn_string(p.rbc.behavior.name()));
-        }
-        if !self.probes.is_empty() {
-            let _ = writeln!(s, "\n[probes]");
-            let _ = writeln!(s, "nodes = {}", scn_cells(&self.probes));
-        }
-        s
+        fields::to_scn(&self.doc())
     }
 
     /// Parses a spec from a sweep-free `.scn` document.
@@ -1628,6 +792,8 @@ impl EngineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bftbcast_rbc::{ByzantineBehavior, ScheduleKind};
+    use bftbcast_sim::slot::ReactiveAdversary;
 
     fn f2_spec() -> EngineSpec {
         EngineSpec::counting(45, 45, 4)
