@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("x5");
     g.sample_size(20);
     use bftbcast::prelude::*;
-    use bftbcast::sim::crash::{crash_only_protocol, crash_stripe, CrashBehavior, HybridSim};
+    use bftbcast::sim::crash::{crash_only_protocol, crash_stripe, CrashBehavior};
     let grid = Grid::new(20, 20, 2).unwrap();
     g.bench_function("crash_stripe_block_20x20_r2", |b| {
         b.iter(|| {
@@ -23,9 +23,9 @@ fn bench(c: &mut Criterion) {
             dead.sort_unstable();
             dead.dedup();
             let proto = crash_only_protocol(&grid);
-            let mut sim = HybridSim::new(grid.clone(), proto, 0)
+            let mut sim = CountingSim::new(grid.clone(), proto, 0, &[], 0)
                 .with_crash_nodes(&dead, CrashBehavior::Immediate);
-            std::hint::black_box(sim.run(0))
+            std::hint::black_box(sim.run_oracle(0))
         })
     });
     g.finish();

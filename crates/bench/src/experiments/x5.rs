@@ -17,9 +17,7 @@
 
 use bftbcast::adversary::{LatticePlacement, Placement};
 use bftbcast::prelude::*;
-use bftbcast::sim::crash::{
-    crash_only_protocol, crash_stripe, crash_threshold, CrashBehavior, HybridSim,
-};
+use bftbcast::sim::crash::{crash_only_protocol, crash_stripe, crash_threshold, CrashBehavior};
 
 use super::torus_side;
 
@@ -32,8 +30,9 @@ fn stripe_run(r: u32, mult: u32, h: u32) -> CountingOutcome {
     dead.sort_unstable();
     dead.dedup();
     let proto = crash_only_protocol(&grid);
-    let mut sim = HybridSim::new(grid, proto, 0).with_crash_nodes(&dead, CrashBehavior::Immediate);
-    sim.run(0)
+    let mut sim =
+        CountingSim::new(grid, proto, 0, &[], 0).with_crash_nodes(&dead, CrashBehavior::Immediate);
+    sim.run_oracle(0)
 }
 
 /// Runs the experiment.
@@ -105,10 +104,9 @@ pub fn run() -> Vec<Table> {
             .filter(|u| !byz.contains(u) && *u != 0)
             .collect();
         let proto = CountingProtocol::protocol_b(&grid, p);
-        let mut sim = HybridSim::new(grid, proto, 0)
-            .with_byzantine_nodes(&byz)
+        let mut sim = CountingSim::new(grid, proto, 0, &byz, mf)
             .with_crash_nodes(&dead, CrashBehavior::Immediate);
-        let out = sim.run(mf);
+        let out = sim.run_oracle(mf);
         hybrid.row(&[
             r.to_string(),
             t.to_string(),

@@ -21,11 +21,10 @@ pub use bftbcast_protocols::bounds::{
 };
 pub use bftbcast_protocols::{CountingProtocol, Params};
 pub use bftbcast_sim::agreement::{AgreementSim, SourceBehavior, SplitAttack};
-pub use bftbcast_sim::crash::{
-    crash_only_protocol, crash_stripe, crash_threshold, CrashBehavior, HybridSim,
-};
+pub use bftbcast_sim::crash::{crash_only_protocol, crash_stripe, crash_threshold, CrashBehavior};
 pub use bftbcast_sim::engine::{EngineOutcome, Probe, SimEngine};
 pub use bftbcast_sim::metrics::{CountingOutcome, ReactiveOutcome};
 pub use bftbcast_sim::runner::{sweep, Table};
 pub use bftbcast_sim::slot::ReactiveAdversary;
+pub use bftbcast_sim::CountingSim;
 pub use bftbcast_viz::{CellStyle, GridMap, LineChart};

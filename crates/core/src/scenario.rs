@@ -441,10 +441,8 @@ impl Scenario {
         behavior: bftbcast_sim::crash::CrashBehavior,
     ) -> CountingOutcome {
         let proto = CountingProtocol::protocol_b(&self.grid, self.params);
-        let mut sim = bftbcast_sim::crash::HybridSim::new(self.grid.clone(), proto, self.source)
-            .with_byzantine_nodes(&self.bad_nodes)
-            .with_crash_nodes(crash, behavior);
-        sim.run(self.params.mf)
+        let mut sim = self.counting_sim(proto).with_crash_nodes(crash, behavior);
+        sim.run_oracle(self.params.mf)
     }
 
     /// Builds a source-neighborhood agreement engine for this

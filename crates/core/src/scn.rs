@@ -157,19 +157,18 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-struct ValueParser {
-    chars: Vec<char>,
+/// Parses one value over the text after `=`, by byte offset: every
+/// token the grammar ends on is ASCII, so slices of the input serve as
+/// words and number literals without copying them.
+struct ValueParser<'a> {
+    text: &'a str,
     pos: usize,
     line: usize,
 }
 
-impl ValueParser {
-    fn new(text: &str, line: usize) -> Self {
-        ValueParser {
-            chars: text.chars().collect(),
-            pos: 0,
-            line,
-        }
+impl<'a> ValueParser<'a> {
+    fn new(text: &'a str, line: usize) -> Self {
+        ValueParser { text, pos: 0, line }
     }
 
     fn err(&self, message: impl Into<String>) -> ScnError {
@@ -180,13 +179,24 @@ impl ValueParser {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
-            self.pos += 1;
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.text[self.pos..].chars().next()
+    }
+
+    /// Advances past the ASCII bytes matching `accept`, returning them.
+    fn take_ascii(&mut self, accept: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        let len = self.text.as_bytes()[start..]
+            .iter()
+            .take_while(|&&b| accept(b))
+            .count();
+        self.pos += len;
+        &self.text[start..self.pos]
     }
 
     fn value(&mut self) -> Result<ScnValue, ScnError> {
@@ -204,6 +214,9 @@ impl ValueParser {
         self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one go.
+            let run = self.take_ascii(|b| b != b'"' && b != b'\\' && b.is_ascii());
+            out.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some('"') => {
@@ -224,7 +237,7 @@ impl ValueParser {
                 }
                 Some(c) => {
                     out.push(c);
-                    self.pos += 1;
+                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -263,12 +276,7 @@ impl ValueParser {
     }
 
     fn boolean(&mut self) -> Result<ScnValue, ScnError> {
-        let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-            self.pos += 1;
-        }
-        let word: String = self.chars[start..self.pos].iter().collect();
-        match word.as_str() {
+        match self.take_ascii(|b| b.is_ascii_alphabetic()) {
             "true" => Ok(ScnValue::Bool(true)),
             "false" => Ok(ScnValue::Bool(false)),
             other => Err(self.err(format!(
@@ -278,15 +286,12 @@ impl ValueParser {
     }
 
     fn number(&mut self) -> Result<ScnValue, ScnError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || "+-._eE".contains(c))
-        {
-            self.pos += 1;
-        }
-        let raw: String = self.chars[start..self.pos].iter().collect();
-        let clean = raw.replace('_', "");
+        let raw = self.take_ascii(|b| b.is_ascii_digit() || b"+-._eE".contains(&b));
+        let clean = if raw.contains('_') {
+            std::borrow::Cow::Owned(raw.replace('_', ""))
+        } else {
+            std::borrow::Cow::Borrowed(raw)
+        };
         if clean.is_empty() {
             return Err(self.err(format!(
                 "expected a value, found {:?}",

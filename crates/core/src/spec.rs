@@ -55,10 +55,9 @@ use bftbcast_net::{Cross, NodeId};
 use bftbcast_protocols::reactive::ReactiveConfig;
 use bftbcast_protocols::CountingProtocol;
 use bftbcast_rbc::{RbcConfig, RbcEngine, RbcProtocol};
-use bftbcast_sim::crash::{crash_only_protocol, crash_stripe, CrashBehavior, HybridSim};
+use bftbcast_sim::crash::{crash_only_protocol, crash_stripe, CrashBehavior};
 use bftbcast_sim::engine::{
-    AgreementEngine, AgreementMode, CountingDrive, CountingEngine, CrashEngine, SimEngine,
-    SlotEngine,
+    AgreementEngine, AgreementMode, CountingDrive, CountingEngine, SimEngine, SlotEngine,
 };
 use bftbcast_sim::slot::SlotConfig;
 
@@ -395,10 +394,10 @@ fn build_engine_impl(
             // Crash nodes must not overlap the source or the Byzantine
             // set; the declarative layer filters rather than panics.
             dead.retain(|u| *u != scenario.source() && !scenario.bad_nodes().contains(u));
-            let sim = HybridSim::new(grid.clone(), protocol(point.protocol), scenario.source())
-                .with_byzantine_nodes(scenario.bad_nodes())
+            let sim = scenario
+                .counting_sim(protocol(point.protocol))
                 .with_crash_nodes(&dead, spec.behavior);
-            Box::new(CrashEngine::new(sim, params.mf))
+            Box::new(CountingEngine::new(sim, params.mf, CountingDrive::Oracle))
         }
         EngineKind::Slot => {
             let config = SlotConfig {

@@ -25,30 +25,30 @@
 //! The worklist invariant the engines maintain: **a node enters the
 //! worklist iff a neighbor's send/decide state changed this wave.**
 //! Engines [`sort`](Worklist::sort) the worklist before applying state
-//! transitions so the visit order is ascending node id — identical to
-//! the legacy `0..n` scan restricted to the touched set, which is what
-//! makes the frontier path bit-identical to the dense one (same
-//! iteration order ⇒ same acceptance order, same budget spend order,
-//! same next-wave ordering).
+//! transitions so the visit order is ascending node id — a `0..n` scan
+//! restricted to the touched set (same iteration order ⇒ same
+//! acceptance order, same budget spend order, same next-wave ordering).
 //!
-//! [`ScanMode`] is the flag the engines switch on: `Frontier` (the
-//! default) runs the worklist kernel, `Dense` preserves the legacy
-//! full-grid scans verbatim for differential testing — the
-//! `DenseOracle` harness in `bftbcast-sim` runs every engine both ways
-//! and asserts per-wave state equality.
+//! [`ScanMode`] selects what the one step loop of each engine is fed:
+//! `Frontier` (the default) the touched set, `Dense` every node
+//! ([`Worklist::insert_all`]). The `DenseOracle` harness in
+//! `bftbcast-sim` runs every engine both ways and asserts per-wave state
+//! equality — the check that skipping the nodes off the front never
+//! changes a result.
 
 use crate::grid::NodeId;
 use crate::topology::Topology;
 
-/// How a wave engine iterates per-wave state transitions.
+/// Which nodes a wave engine's step loop visits.
 ///
-/// Both modes produce bit-identical outcomes, probes and counters; the
-/// dense path exists so the equivalence stays testable (and as a
-/// fallback should a future engine change break the frontier argument).
+/// Both modes run the same loop and produce bit-identical outcomes,
+/// probes and counters; `Dense` exists so the frontier argument stays
+/// testable, and engines also check their incremental bookkeeping
+/// against a rescan in it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScanMode {
-    /// Legacy full-grid `0..n` scans every wave — cost `O(n · degree)`
-    /// per wave regardless of how small the active front is.
+    /// Every node, every wave — cost `O(n)` per wave regardless of how
+    /// small the active front is.
     Dense,
     /// Active-frontier worklist iteration — cost proportional to the
     /// front (the nodes whose neighborhood changed last wave), not the
@@ -63,6 +63,8 @@ pub enum ScanMode {
 /// See the module docs for the role this plays in the frontier kernel.
 #[derive(Debug, Clone, Default)]
 pub struct Worklist {
+    /// Number of nodes.
+    nodes: usize,
     /// One mark bit per node; `marks[u / 64] >> (u % 64) & 1`.
     marks: Vec<u64>,
     /// The queued ids, in insertion order until [`Worklist::sort`].
@@ -73,6 +75,7 @@ impl Worklist {
     /// An empty worklist over `n` nodes.
     pub fn new(n: usize) -> Self {
         Worklist {
+            nodes: n,
             marks: vec![0; n.div_ceil(64)],
             items: Vec::new(),
         }
@@ -115,6 +118,13 @@ impl Worklist {
     /// while mutating other state).
     pub fn item(&self, i: usize) -> NodeId {
         self.items[i]
+    }
+
+    /// Queues every node not yet queued, in ascending id order.
+    pub fn insert_all(&mut self) {
+        if self.nodes > 0 {
+            self.insert_run(0, self.nodes - 1);
+        }
     }
 
     /// Sorts the queue into ascending id order, so iteration matches a
@@ -240,6 +250,17 @@ mod tests {
         }
         assert!(!wl.contains(59));
         assert!(!wl.contains(131));
+    }
+
+    #[test]
+    fn insert_all_queues_every_node_once() {
+        let mut wl = Worklist::new(130);
+        wl.insert(70);
+        wl.insert_all();
+        assert_eq!(wl.len(), 130);
+        wl.sort();
+        assert!(wl.as_slice().iter().copied().eq(0..130));
+        assert!(!wl.insert(129), "already queued");
     }
 
     #[test]

@@ -46,11 +46,31 @@
 //! constructions stall broadcast under the oracle model exactly as the
 //! paper describes; under global budgets they can leak — a reproduction
 //! finding quantified in EXPERIMENTS.md (EXP-T1/EXP-F2).
+//!
+//! # Three node roles
+//!
+//! Every node is good, Byzantine (the `bad_nodes` of
+//! [`CountingSim::new`]) or crash-stop
+//! ([`CountingSim::with_crash_nodes`], see [`crate::crash`]). A crash
+//! node receives, is fed by the oracle's per-receiver capacity and
+//! accepts exactly like a good node, but relays only
+//! [`CrashBehavior`]'s share of its quota, and the outcome counts it as
+//! neither good nor bad.
+//!
+//! # One step loop per drive
+//!
+//! The oracle drives (threshold and majority acceptance, any node
+//! roles) share one gather → corrupt → accept loop over a
+//! [`Worklist`] of the receivers the wave reached; the strategy drive
+//! has its own. [`ScanMode::Dense`] runs the same loops with every node
+//! queued, which checks that skipping the nodes off the front never
+//! changes a result.
 
 use bftbcast_adversary::{AttackPlan, CorruptionStrategy, WaveView};
 use bftbcast_net::{Grid, NetError, NodeId, ScanMode, Topology, Value, Worklist};
 use bftbcast_protocols::CountingProtocol;
 
+use crate::crash::CrashBehavior;
 use crate::metrics::CountingOutcome;
 
 /// The counting engine. Construct with [`CountingSim::new`], run with
@@ -60,32 +80,36 @@ use crate::metrics::CountingOutcome;
 /// stencil (id runs + window intersection); the naive [`Grid`]
 /// iterator never runs inside the wave loop.
 ///
-/// Resident per-node state is 29¼ bytes: `is_good` (1), `spent` (8),
+/// Resident per-node state is 29¼ bytes: `honest` (1), `spent` (8),
 /// `accepted_wave` (4), the two tallies (16) and two bits for
 /// `undecided`/`forged`. The protocol's `relay_copies` and `budget`
-/// add 16 more. A run's own buffers ([`OracleRun`] and friends) come on
-/// top; [`CountingSim::reset`] refills the state in place for the next
-/// run without allocating.
+/// add 16 more. A run's own buffers ([`OracleRun`], [`AttackRun`]) come
+/// on top; [`CountingSim::reset`] refills the state in place for the
+/// next run without allocating.
 #[derive(Debug, Clone)]
 pub struct CountingSim {
     topology: Topology,
     protocol: CountingProtocol,
     scan: ScanMode,
     source: NodeId,
-    /// Budget of every bad node; good nodes take theirs from the
+    /// Budget of every bad node; honest nodes take theirs from the
     /// protocol, and the source is unbounded.
     mf: u64,
-    is_good: Vec<bool>,
+    /// Good and crash nodes; the rest are Byzantine.
+    honest: Vec<bool>,
     bad_nodes: Vec<NodeId>,
+    /// The crash-stop nodes and when each stops, sorted by id; `None`
+    /// for a sim built without a crash load.
+    crash: Option<Vec<(NodeId, CrashBehavior)>>,
     /// Budget units each node has spent; the limit follows from its
     /// role (see [`CountingSim::remaining_budget`]).
     spent: Vec<u64>,
-    /// Bitset of good nodes that have not yet accepted a value — the
+    /// Bitset of honest nodes that have not yet accepted a value — the
     /// frontier kernel's receiver filter, and (with `forged`) the whole
-    /// acceptance state: a decided good node accepted `Vtrue` unless
+    /// acceptance state: a decided honest node accepted `Vtrue` unless
     /// its `forged` bit is set; bad nodes never accept.
     undecided: Vec<u64>,
-    /// Bitset of good nodes that accepted a forged value.
+    /// Bitset of honest nodes that accepted a forged value.
     forged: Vec<u64>,
     /// Wave of acceptance, [`NOT_ACCEPTED`] while undecided.
     accepted_wave: Vec<u32>,
@@ -95,6 +119,9 @@ pub struct CountingSim {
     good_copies_sent: u64,
     source_copies_sent: u64,
     adversary_spent: u64,
+    /// Good nodes that accepted `Vtrue` (the source included) and
+    /// good nodes that accepted a forgery.
+    true_accepts: usize,
     wrong_accepts: usize,
 }
 
@@ -119,12 +146,12 @@ impl CountingSim {
             "protocol quota exceeds budget"
         );
         assert!(u32::try_from(n).is_ok(), "node count exceeds u32");
-        let mut is_good = vec![true; n];
+        let mut honest = vec![true; n];
         for &b in bad_nodes {
             assert!(b < n, "bad node out of range");
             assert!(b != source, "the base station is assumed correct");
-            assert!(is_good[b], "duplicate bad node {b}");
-            is_good[b] = false;
+            assert!(honest[b], "duplicate bad node {b}");
+            honest[b] = false;
         }
         let mut sim = CountingSim {
             topology: Topology::new(grid),
@@ -132,8 +159,9 @@ impl CountingSim {
             scan: ScanMode::default(),
             source,
             mf,
-            is_good,
+            honest,
             bad_nodes: bad_nodes.to_vec(),
+            crash: None,
             spent: vec![0; n],
             undecided: vec![0; n.div_ceil(64)],
             forged: vec![0; n.div_ceil(64)],
@@ -144,16 +172,44 @@ impl CountingSim {
             good_copies_sent: 0,
             source_copies_sent: 0,
             adversary_spent: 0,
+            true_accepts: 0,
             wrong_accepts: 0,
         };
         sim.init_acceptance();
         sim
     }
 
+    /// Adds a crash load: `nodes` become crash-stop nodes that stop
+    /// relaying as `behavior` says (call again for another schedule).
+    ///
+    /// A sim with a crash load — even an empty one — schedules only
+    /// relayers that send copies, as the crash-stop model counts
+    /// transmissions; without one, a zero-quota good relayer still
+    /// takes a (silent) wave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is the source, out of range, or already faulty.
+    pub fn with_crash_nodes(mut self, nodes: &[NodeId], behavior: CrashBehavior) -> Self {
+        let mut crash = self.crash.take().unwrap_or_default();
+        for &u in nodes {
+            assert!(u < self.honest.len(), "node {u} out of range");
+            assert!(u != self.source, "the base station is assumed correct");
+            assert!(self.honest[u], "node {u} already faulty");
+            crash.push((u, behavior));
+        }
+        crash.sort_unstable_by_key(|&(u, _)| u);
+        if let Some(pair) = crash.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            panic!("node {} already faulty", pair[0].0);
+        }
+        self.crash = Some(crash);
+        self
+    }
+
     /// Restores the state [`CountingSim::new`] built — no spending, no
     /// acceptances but the source's, zero tallies and counters — so the
     /// same engine can run again. Refills in place without allocating;
-    /// the configuration (protocol, bad set, scan mode) is kept.
+    /// the configuration (protocol, node roles, scan mode) is kept.
     pub fn reset(&mut self) {
         self.spent.fill(0);
         self.forged.fill(0);
@@ -168,16 +224,17 @@ impl CountingSim {
         self.init_acceptance();
     }
 
-    /// Every good node undecided except the source, which holds `Vtrue`
-    /// from wave 0.
+    /// Every honest node undecided except the source, which holds
+    /// `Vtrue` from wave 0.
     fn init_acceptance(&mut self) {
         self.undecided.fill(0);
-        for (u, &good) in self.is_good.iter().enumerate() {
-            if good && u != self.source {
+        for (u, &honest) in self.honest.iter().enumerate() {
+            if honest && u != self.source {
                 self.undecided[u / 64] |= 1 << (u % 64);
             }
         }
         self.accepted_wave[self.source] = 0;
+        self.true_accepts = 1;
     }
 
     /// Runs the engine to fixpoint against the given strategy.
@@ -196,10 +253,10 @@ impl CountingSim {
         self.outcome()
     }
 
-    /// Selects dense or frontier per-wave iteration (see [`ScanMode`]).
-    /// Both modes are bit-identical in outcomes, tallies and counters —
-    /// the flag only changes per-wave cost. Set it before beginning a
-    /// run; switching modes mid-run is not supported.
+    /// Selects frontier or every-node iteration (see [`ScanMode`]).
+    /// Both run the same step loops and are bit-identical in outcomes,
+    /// tallies and counters; `Dense` also checks the incremental
+    /// strategy view after every wave. Set it before beginning a run.
     pub fn set_scan_mode(&mut self, mode: ScanMode) {
         self.scan = mode;
     }
@@ -218,11 +275,9 @@ impl CountingSim {
         AttackRun {
             wave: vec![(self.source, self.protocol.source_copies)],
             next: Vec::new(),
-            // The strategy-view inputs, correct as of "before wave 1".
-            // The dense path rebuilds them from scratch each wave; the
-            // frontier path keeps them fresh incrementally at the only
-            // nodes whose budget/acceptance can change (plan attackers
-            // and new acceptors).
+            // The strategy-view inputs, correct as of "before wave 1" and
+            // kept fresh incrementally at the only nodes whose budget or
+            // acceptance can change (plan attackers and new acceptors).
             remaining: (0..n).map(|u| self.remaining_budget(u)).collect(),
             accepted_true: (0..n).map(|u| self.accepted_true(u)).collect(),
             // Per-wave dense sender state, validity stamped by wave
@@ -246,14 +301,6 @@ impl CountingSim {
             return false;
         }
         self.waves += 1;
-        if self.scan == ScanMode::Dense {
-            // Legacy: rebuild the dense strategy-view inputs from
-            // scratch every wave.
-            for u in 0..self.topology.node_count() {
-                run.remaining[u] = self.remaining_budget(u);
-                run.accepted_true[u] = self.accepted_true(u);
-            }
-        }
         let plan = {
             let view = WaveView {
                 topology: &self.topology,
@@ -263,51 +310,63 @@ impl CountingSim {
                 threshold: self.protocol.accept_threshold,
                 bad_nodes: &self.bad_nodes,
                 remaining_budget: &run.remaining,
-                is_good: &self.is_good,
+                is_good: &self.honest,
                 relay_quota: &self.protocol.relay_copies,
             };
             strategy.plan(&view)
         };
         self.validate_and_spend(&run.wave, &plan, &mut run.sent, &mut run.collided);
-        if self.scan == ScanMode::Frontier {
-            // The spend changed budgets only at the plan's attackers.
-            for c in &plan.collisions {
-                run.remaining[c.attacker] = self.remaining_budget(c.attacker);
-            }
-            for f in &plan.forgeries {
-                run.remaining[f.attacker] = self.remaining_budget(f.attacker);
-            }
+        // The spend changed budgets only at the plan's attackers.
+        for c in &plan.collisions {
+            run.remaining[c.attacker] = self.remaining_budget(c.attacker);
+        }
+        for f in &plan.forgeries {
+            run.remaining[f.attacker] = self.remaining_budget(f.attacker);
         }
         self.apply_wave(&run.wave, &plan, &mut run.common);
+        // Tallies changed only inside the senders' and forgery
+        // attackers' neighborhoods (a collision hits the common
+        // neighbors of attacker and sender — already a subset of
+        // N(sender)); no other node can newly accept.
+        run.touched.clear();
+        let dense = self.queue_all_if_dense(&mut run.touched);
+        run.touched
+            .extend_neighborhoods(&self.topology, run.wave.iter().map(|&(s, _)| s));
+        run.touched
+            .extend_neighborhoods(&self.topology, plan.forgeries.iter().map(|f| f.attacker));
+        run.touched.sort();
         run.next.clear();
-        match self.scan {
-            ScanMode::Dense => self.collect_acceptances_into(None, &mut run.next),
-            ScanMode::Frontier => {
-                // Tallies changed only inside the senders' and forgery
-                // attackers' neighborhoods (a collision hits the common
-                // neighbors of attacker and sender — already a subset of
-                // N(sender)); no other node can newly accept.
-                run.touched.clear();
-                run.touched
-                    .extend_neighborhoods(&self.topology, run.wave.iter().map(|&(s, _)| s));
-                run.touched.extend_neighborhoods(
-                    &self.topology,
-                    plan.forgeries.iter().map(|f| f.attacker),
-                );
-                run.touched.sort();
-                self.collect_acceptances_into(Some(run.touched.as_slice()), &mut run.next);
+        for i in 0..run.touched.len() {
+            let u = run.touched.item(i);
+            if self.try_accept(u, &mut run.next) {
+                run.accepted_true[u] = self.accepted_true(u);
+                run.remaining[u] = self.remaining_budget(u);
             }
         }
-        if self.scan == ScanMode::Frontier {
-            // New TRUE acceptors are exactly the scheduled relayers:
-            // they flipped acceptance and spent their relay quota.
-            for &(u, _) in &run.next {
-                run.accepted_true[u] = true;
-                run.remaining[u] = self.remaining_budget(u);
+        if dense {
+            for u in 0..self.topology.node_count() {
+                assert_eq!(
+                    (run.remaining[u], run.accepted_true[u]),
+                    (self.remaining_budget(u), self.accepted_true(u)),
+                    "wave {}: stale strategy view at node {u}",
+                    self.waves
+                );
             }
         }
         std::mem::swap(&mut run.wave, &mut run.next);
         true
+    }
+
+    /// Under [`ScanMode::Dense`], queues every node and returns `true`:
+    /// the step loops then visit the whole grid, and check what they
+    /// keep incrementally against a rescan. The one place a run reads
+    /// the scan mode.
+    fn queue_all_if_dense(&self, worklist: &mut Worklist) -> bool {
+        let dense = self.scan == ScanMode::Dense;
+        if dense {
+            worklist.insert_all();
+        }
+        dense
     }
 
     /// Runs the engine to fixpoint under the paper's **per-receiver**
@@ -330,13 +389,44 @@ impl CountingSim {
     /// resumable wave state. Call at most once per engine; drive with
     /// [`CountingSim::step_oracle`].
     pub fn begin_oracle(&mut self, mf: u64) -> OracleRun {
+        self.begin_oracle_run(mf, None)
+    }
+
+    /// Runs the engine under the per-receiver oracle with **majority**
+    /// acceptance instead of the paper's threshold rule: a node accepts
+    /// the leading value once it has received `quorum` total copies
+    /// (correct or corrupted), ties breaking *against* the node.
+    ///
+    /// This is the EXP-A3 ablation. Under the threshold rule
+    /// (`t·mf + 1` copies of one value) forged copies are harmless — a
+    /// wrong value can never reach the threshold, so the adversary's
+    /// only lever is suppressing correct copies. Under majority
+    /// acceptance a corruption both removes a correct copy *and* adds a
+    /// wrong one, so safety needs `quorum ≥ 2·t·mf + 1` — twice the
+    /// intake — which is exactly why the paper's protocols accept at
+    /// `t·mf + 1` and reserve majority voting for the
+    /// `2·t·mf + 1`-copy source step (§3.1).
+    pub fn run_majority_oracle(&mut self, mf: u64, quorum: u64) -> CountingOutcome {
+        let mut run = self.begin_majority_oracle(mf, quorum);
+        while self.step_oracle(&mut run) {}
+        self.outcome()
+    }
+
+    /// Starts a majority-acceptance oracle run (see
+    /// [`CountingSim::run_majority_oracle`]). Call at most once per
+    /// engine; drive with [`CountingSim::step_oracle`].
+    pub fn begin_majority_oracle(&mut self, mf: u64, quorum: u64) -> OracleRun {
+        self.begin_oracle_run(mf, Some(quorum))
+    }
+
+    fn begin_oracle_run(&mut self, mf: u64, quorum: Option<u64>) -> OracleRun {
         let n = self.topology.node_count();
         // Remaining per-receiver capacity: sum over bad b in N(u) of the
         // per-pair budget.
         let mut capacity = vec![0u64; n];
         for &b in &self.bad_nodes {
             for u in self.topology.neighbors_of(b) {
-                if self.is_good[u] {
+                if self.honest[u] {
                     capacity[u] += mf;
                 }
             }
@@ -344,6 +434,7 @@ impl CountingSim {
         self.source_copies_sent += self.protocol.source_copies;
         OracleRun {
             capacity,
+            quorum,
             wave: vec![(self.source, self.protocol.source_copies)],
             next: Vec::new(),
             incoming: vec![0u64; n],
@@ -351,64 +442,49 @@ impl CountingSim {
         }
     }
 
-    /// Advances an oracle run by one wave. Returns `false` at fixpoint,
-    /// after which [`CountingSim::outcome`] and the per-node inspectors
-    /// are final.
+    /// Advances an oracle run (threshold or majority acceptance) by one
+    /// wave. Returns `false` at fixpoint, after which
+    /// [`CountingSim::outcome`] and the per-node inspectors are final.
     pub fn step_oracle(&mut self, run: &mut OracleRun) -> bool {
         if run.wave.is_empty() {
             return false;
         }
         self.waves += 1;
-        match self.scan {
-            ScanMode::Dense => {
-                // Incoming correct copies this wave.
-                run.incoming.fill(0);
-                for &(s, copies) in &run.wave {
-                    for u in self.topology.neighbors_of(s) {
-                        if self.undecided(u) {
-                            run.incoming[u] += copies;
-                        }
+        // Gather: only undecided receivers adjacent to a sender can
+        // change state this wave; `touched` collects exactly those.
+        // `incoming` is zeroed on a node's first touch, so only the
+        // every-node worklist needs an O(n) fill.
+        run.touched.clear();
+        if self.queue_all_if_dense(&mut run.touched) {
+            run.incoming.fill(0);
+        }
+        for &(s, copies) in &run.wave {
+            for u in self.topology.neighbors_of(s) {
+                if self.undecided(u) {
+                    if run.touched.insert(u) {
+                        run.incoming[u] = 0;
                     }
+                    run.incoming[u] += copies;
                 }
-                for u in 0..self.topology.node_count() {
-                    if run.incoming[u] == 0 {
-                        continue;
-                    }
-                    let incoming = run.incoming[u];
-                    self.oracle_corrupt(u, incoming, &mut run.capacity[u]);
-                }
-                run.next.clear();
-                self.collect_acceptances_into(None, &mut run.next);
             }
-            ScanMode::Frontier => {
-                // Only undecided good receivers adjacent to a sender can
-                // change state this wave; `touched` collects exactly
-                // those, lazily zeroing `incoming` on first touch so no
-                // O(n) fill is needed.
-                run.touched.clear();
-                for &(s, copies) in &run.wave {
-                    for u in self.topology.neighbors_of(s) {
-                        if self.undecided(u) {
-                            if run.touched.insert(u) {
-                                run.incoming[u] = 0;
-                            }
-                            run.incoming[u] += copies;
-                        }
-                    }
-                }
-                // Ascending order = the dense 0..n scan restricted to
-                // the touched set: identical corrupt/accept order. The
-                // dense path's corrupt and accept sweeps are fused into
-                // one pass here: both touch only u-local state (plus
-                // commutative global counters), so the fused loop lands
-                // in the same end state with u's lines still cache-hot.
-                run.touched.sort();
-                run.next.clear();
-                for i in 0..run.touched.len() {
-                    let u = run.touched.item(i);
-                    let incoming = run.incoming[u];
-                    self.oracle_corrupt(u, incoming, &mut run.capacity[u]);
+        }
+        // Corrupt and accept in ascending id order. Both touch only
+        // u-local state (plus commutative global counters), so one
+        // fused pass lands in the same end state as two.
+        run.touched.sort();
+        run.next.clear();
+        for i in 0..run.touched.len() {
+            let u = run.touched.item(i);
+            let incoming = run.incoming[u];
+            let capacity = &mut run.capacity[u];
+            match run.quorum {
+                None => {
+                    self.oracle_corrupt(u, incoming, capacity);
                     self.try_accept(u, &mut run.next);
+                }
+                Some(quorum) => {
+                    self.majority_corrupt(u, incoming, capacity);
+                    self.try_accept_majority(u, quorum, &mut run.next);
                 }
             }
         }
@@ -428,118 +504,19 @@ impl CountingSim {
         } else {
             deficit
         };
-        *capacity -= corrupt;
-        self.adversary_spent += corrupt;
-        self.tally_true[u] += incoming - corrupt;
-        self.tally_wrong[u] += corrupt;
-    }
-
-    /// Runs the engine under the per-receiver oracle with **majority**
-    /// acceptance instead of the paper's threshold rule: a node accepts
-    /// the leading value once it has received `quorum` total copies
-    /// (correct or corrupted), ties breaking *against* the node.
-    ///
-    /// This is the EXP-A3 ablation. Under the threshold rule
-    /// (`t·mf + 1` copies of one value) forged copies are harmless — a
-    /// wrong value can never reach the threshold, so the adversary's
-    /// only lever is suppressing correct copies. Under majority
-    /// acceptance a corruption both removes a correct copy *and* adds a
-    /// wrong one, so safety needs `quorum ≥ 2·t·mf + 1` — twice the
-    /// intake — which is exactly why the paper's protocols accept at
-    /// `t·mf + 1` and reserve majority voting for the
-    /// `2·t·mf + 1`-copy source step (§3.1).
-    pub fn run_majority_oracle(&mut self, mf: u64, quorum: u64) -> CountingOutcome {
-        let mut run = self.begin_majority_oracle(mf, quorum);
-        while self.step_majority_oracle(&mut run) {}
-        self.outcome()
-    }
-
-    /// Starts a majority-acceptance oracle run (see
-    /// [`CountingSim::run_majority_oracle`]). Call at most once per
-    /// engine; drive with [`CountingSim::step_majority_oracle`].
-    pub fn begin_majority_oracle(&mut self, mf: u64, quorum: u64) -> MajorityRun {
-        let n = self.topology.node_count();
-        let mut capacity = vec![0u64; n];
-        for &b in &self.bad_nodes {
-            for u in self.topology.neighbors_of(b) {
-                if self.is_good[u] {
-                    capacity[u] += mf;
-                }
-            }
-        }
-        self.source_copies_sent += self.protocol.source_copies;
-        MajorityRun {
-            capacity,
-            quorum,
-            wave: vec![(self.source, self.protocol.source_copies)],
-            next: Vec::new(),
-            incoming: vec![0u64; n],
-            touched: Worklist::new(n),
-        }
-    }
-
-    /// Advances a majority-oracle run by one wave; `false` at fixpoint.
-    pub fn step_majority_oracle(&mut self, run: &mut MajorityRun) -> bool {
-        if run.wave.is_empty() {
-            return false;
-        }
-        self.waves += 1;
-        run.next.clear();
-        match self.scan {
-            ScanMode::Dense => {
-                run.incoming.fill(0);
-                for &(s, copies) in &run.wave {
-                    for u in self.topology.neighbors_of(s) {
-                        if self.undecided(u) {
-                            run.incoming[u] += copies;
-                        }
-                    }
-                }
-                for u in 0..self.topology.node_count() {
-                    if run.incoming[u] == 0 {
-                        continue;
-                    }
-                    let incoming = run.incoming[u];
-                    self.majority_corrupt(u, incoming, &mut run.capacity[u]);
-                }
-                // Majority acceptance at the quorum.
-                for u in 0..self.topology.node_count() {
-                    self.try_accept_majority(u, run.quorum, &mut run.next);
-                }
-            }
-            ScanMode::Frontier => {
-                run.touched.clear();
-                for &(s, copies) in &run.wave {
-                    for u in self.topology.neighbors_of(s) {
-                        if self.undecided(u) {
-                            if run.touched.insert(u) {
-                                run.incoming[u] = 0;
-                            }
-                            run.incoming[u] += copies;
-                        }
-                    }
-                }
-                // Only touched nodes gained copies, so only they can
-                // newly reach the quorum; corrupt and accept fuse into
-                // one sorted pass exactly as in the threshold oracle.
-                run.touched.sort();
-                for i in 0..run.touched.len() {
-                    let u = run.touched.item(i);
-                    let incoming = run.incoming[u];
-                    self.majority_corrupt(u, incoming, &mut run.capacity[u]);
-                    self.try_accept_majority(u, run.quorum, &mut run.next);
-                }
-            }
-        }
-        std::mem::swap(&mut run.wave, &mut run.next);
-        true
+        self.corrupt(u, incoming, corrupt, capacity);
     }
 
     /// The majority oracle's corruption rule at one receiver: every
     /// corruption strictly improves the adversary's majority position,
     /// so spend eagerly.
     fn majority_corrupt(&mut self, u: NodeId, incoming: u64, capacity: &mut u64) {
-        let corrupt = (*capacity).min(incoming);
+        self.corrupt(u, incoming, (*capacity).min(incoming), capacity);
+    }
+
+    /// Delivers `incoming` copies at `u`, `corrupt` of them forged out
+    /// of `u`'s remaining oracle capacity.
+    fn corrupt(&mut self, u: NodeId, incoming: u64, corrupt: u64, capacity: &mut u64) {
         *capacity -= corrupt;
         self.adversary_spent += corrupt;
         self.tally_true[u] += incoming - corrupt;
@@ -564,20 +541,13 @@ impl CountingSim {
     }
 
     /// The aggregate outcome of the run so far (final once the driving
-    /// `step_*` method has returned `false`).
+    /// `step_*` method has returned `false`). Crash nodes count as
+    /// neither good nor bad, even when they accepted before stopping.
     pub fn outcome(&self) -> CountingOutcome {
+        let crash_nodes = self.crash.as_ref().map_or(0, Vec::len);
         CountingOutcome {
-            good_nodes: self.is_good.len() - self.bad_nodes.len(),
-            // Bad ids are distinct (checked in `new`), and every decided
-            // good node accepted either `Vtrue` or a counted forgery.
-            accepted_true: self.is_good.len()
-                - self.bad_nodes.len()
-                - self.wrong_accepts
-                - self
-                    .undecided
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum::<usize>(),
+            good_nodes: self.honest.len() - self.bad_nodes.len() - crash_nodes,
+            accepted_true: self.true_accepts,
             wrong_accepts: self.wrong_accepts,
             waves: self.waves,
             good_copies_sent: self.good_copies_sent,
@@ -590,7 +560,7 @@ impl CountingSim {
     ///
     /// # Panics
     ///
-    /// Panics on any violation: attacks by good nodes, out-of-range
+    /// Panics on any violation: attacks by honest nodes, out-of-range
     /// collisions (`L∞(attacker, sender) > 2r`), over-collided senders,
     /// or budget overdrafts. Strategies are untrusted; violations are
     /// bugs worth crashing on.
@@ -606,7 +576,7 @@ impl CountingSim {
             sent.set(s, copies, self.waves);
         }
         for c in &plan.collisions {
-            assert!(!self.is_good[c.attacker], "good node in attack plan");
+            assert!(!self.honest[c.attacker], "good node in attack plan");
             let copies_sent = sent
                 .get(c.sender, self.waves)
                 .expect("collision against a non-transmitting sender");
@@ -626,7 +596,7 @@ impl CountingSim {
             self.adversary_spent += c.copies;
         }
         for f in &plan.forgeries {
-            assert!(!self.is_good[f.attacker], "good node in attack plan");
+            assert!(!self.honest[f.attacker], "good node in attack plan");
             self.try_spend(f.attacker, f.copies)
                 .expect("adversary over budget");
             self.adversary_spent += f.copies;
@@ -670,42 +640,58 @@ impl CountingSim {
         }
     }
 
-    /// Whether `u` is a good node that has not yet accepted a value —
-    /// the bitset fast path for the per-wave receiver filter.
+    /// Whether `u` is an honest node that has not yet accepted a value
+    /// — the bitset fast path for the per-wave receiver filter.
     #[inline]
     fn undecided(&self, u: NodeId) -> bool {
         self.undecided[u / 64] >> (u % 64) & 1 != 0
     }
 
-    /// Whether `u` is a good node that accepted `Vtrue`.
+    /// Whether `u` is an honest (good or crash) node that accepted
+    /// `Vtrue`.
     fn accepted_true(&self, u: NodeId) -> bool {
-        self.is_good[u] && !self.undecided(u) && self.forged[u / 64] >> (u % 64) & 1 == 0
+        self.honest[u] && !self.undecided(u) && self.forged[u / 64] >> (u % 64) & 1 == 0
+    }
+
+    /// `u`'s stop schedule, if it is a crash node.
+    fn crash_behavior(&self, u: NodeId) -> Option<CrashBehavior> {
+        let crash = self.crash.as_ref()?;
+        let i = crash.binary_search_by_key(&u, |&(c, _)| c).ok()?;
+        Some(crash[i].1)
     }
 
     /// Records that undecided `u` accepts `value` (`Vtrue` or
     /// [`Value::FORGED`]) in the current wave. A `Vtrue` acceptor spends
-    /// its relay quota and is scheduled into `next`.
+    /// the copies it relays — its quota, or a crash node's share of it —
+    /// and is scheduled into `next`.
     fn decide(&mut self, u: NodeId, value: Value, next: &mut Vec<(NodeId, u64)>) {
         self.undecided[u / 64] &= !(1u64 << (u % 64));
         self.accepted_wave[u] = self.waves as u32;
+        let crash = self.crash_behavior(u);
         if value == Value::FORGED {
             self.forged[u / 64] |= 1u64 << (u % 64);
-            self.wrong_accepts += 1;
+            self.wrong_accepts += usize::from(crash.is_none());
         } else {
             let quota = self.protocol.relay_copies[u];
-            self.try_spend(u, quota)
+            let copies = crash.map_or(quota, |behavior| behavior.copies_sent(quota));
+            self.try_spend(u, copies)
                 .expect("relay quota exceeds good budget");
-            self.good_copies_sent += quota;
-            next.push((u, quota));
+            if crash.is_none() {
+                self.good_copies_sent += copies;
+                self.true_accepts += 1;
+            }
+            if copies > 0 || self.crash.is_none() {
+                next.push((u, copies));
+            }
         }
     }
 
     /// `u`'s budget cap: unbounded at the source, the protocol's `m` at
-    /// a good node, `mf` at a bad one.
+    /// an honest node, `mf` at a bad one.
     fn budget_limit(&self, u: NodeId) -> Option<u64> {
         if u == self.source {
             None
-        } else if self.is_good[u] {
+        } else if self.honest[u] {
             Some(self.protocol.budget[u])
         } else {
             Some(self.mf)
@@ -729,38 +715,15 @@ impl CountingSim {
         Ok(())
     }
 
-    /// Applies the acceptance rule and schedules the next wave into
-    /// `next` (cleared by the caller; double-buffered across waves).
-    ///
-    /// `candidates` selects the scan: `None` is the legacy full-grid
-    /// pass, `Some(touched)` restricts it to an ascending-sorted touched
-    /// set — exact because a node whose tallies did not change this wave
-    /// cannot newly cross the threshold (it would have accepted when
-    /// they last changed).
-    fn collect_acceptances_into(
-        &mut self,
-        candidates: Option<&[NodeId]>,
-        next: &mut Vec<(NodeId, u64)>,
-    ) {
-        match candidates {
-            None => {
-                for u in 0..self.topology.node_count() {
-                    self.try_accept(u, next);
-                }
-            }
-            Some(touched) => {
-                for &u in touched {
-                    self.try_accept(u, next);
-                }
-            }
-        }
-    }
-
     /// Applies the threshold acceptance rule at one node, scheduling a
-    /// newly accepted relayer into `next`.
-    fn try_accept(&mut self, u: NodeId, next: &mut Vec<(NodeId, u64)>) {
+    /// newly accepted relayer into `next`. Returns whether `u` decided.
+    ///
+    /// Only a node whose tallies changed this wave can newly cross the
+    /// threshold (it would have accepted when they last changed), which
+    /// is why the step loops may skip every node off the front.
+    fn try_accept(&mut self, u: NodeId, next: &mut Vec<(NodeId, u64)>) -> bool {
         if !self.undecided(u) {
-            return;
+            return false;
         }
         let true_in = self.tally_true[u] >= self.protocol.accept_threshold;
         let wrong_in = self.tally_wrong[u] >= self.protocol.accept_threshold;
@@ -771,7 +734,10 @@ impl CountingSim {
             self.decide(u, Value::FORGED, next);
         } else if true_in {
             self.decide(u, Value::TRUE, next);
+        } else {
+            return false;
         }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -788,9 +754,9 @@ impl CountingSim {
         &self.topology
     }
 
-    /// The value accepted by `u`, if any.
+    /// The value accepted by `u` (good or crash node), if any.
     pub fn accepted(&self, u: NodeId) -> Option<Value> {
-        if !self.is_good[u] || self.undecided(u) {
+        if !self.honest[u] || self.undecided(u) {
             None
         } else if self.forged[u / 64] >> (u % 64) & 1 != 0 {
             Some(Value::FORGED)
@@ -811,7 +777,7 @@ impl CountingSim {
         let mut counts = vec![0usize; self.waves + 1];
         for u in 0..self.topology.node_count() {
             if let Some(w) = self.accepted_wave(u) {
-                if self.is_good[u] {
+                if self.is_good(u) {
                     counts[w] += 1;
                 }
             }
@@ -836,17 +802,10 @@ impl CountingSim {
         self.tally_wrong[u]
     }
 
-    /// Number of `u`'s neighbors (good or bad) that accepted `Vtrue`.
+    /// Number of `u`'s neighbors that accepted `Vtrue`: good and crash
+    /// nodes alike (a crash node may have relayed before stopping), and
+    /// never a Byzantine one, since those do not accept.
     pub fn decided_neighbors(&self, u: NodeId) -> usize {
-        self.topology
-            .neighbors_of(u)
-            .filter(|&v| self.accepted_true(v))
-            .count()
-    }
-
-    /// Number of `u`'s *good* neighbors that accepted `Vtrue` (the
-    /// senders that can feed it correct copies).
-    pub fn decided_good_neighbors(&self, u: NodeId) -> usize {
         self.topology
             .neighbors_of(u)
             .filter(|&v| self.accepted_true(v))
@@ -859,9 +818,9 @@ impl CountingSim {
             .map_or(u64::MAX, |limit| limit - self.spent[u])
     }
 
-    /// Whether node `u` is honest.
+    /// Whether node `u` is good: neither Byzantine nor crash-stop.
     pub fn is_good(&self, u: NodeId) -> bool {
-        self.is_good[u]
+        self.honest[u] && self.crash_behavior(u).is_none()
     }
 }
 
@@ -883,14 +842,18 @@ pub struct AttackRun {
     touched: Worklist,
 }
 
-/// Resumable state of a per-receiver-oracle run. Produced by
-/// [`CountingSim::begin_oracle`], advanced by
+/// Resumable state of a per-receiver-oracle run under threshold or
+/// majority acceptance. Produced by [`CountingSim::begin_oracle`] or
+/// [`CountingSim::begin_majority_oracle`], advanced by
 /// [`CountingSim::step_oracle`].
 #[derive(Debug, Clone)]
 pub struct OracleRun {
     capacity: Vec<u64>,
+    /// Majority acceptance at this quorum; `None` is the threshold rule.
+    quorum: Option<u64>,
     wave: Vec<(NodeId, u64)>,
     next: Vec<(NodeId, u64)>,
+    /// Copies arriving this wave (stale off the touched set).
     incoming: Vec<u64>,
     touched: Worklist,
 }
@@ -903,19 +866,6 @@ impl OracleRun {
     pub fn front_size(&self) -> usize {
         self.wave.len()
     }
-}
-
-/// Resumable state of a majority-acceptance oracle run. Produced by
-/// [`CountingSim::begin_majority_oracle`], advanced by
-/// [`CountingSim::step_majority_oracle`].
-#[derive(Debug, Clone)]
-pub struct MajorityRun {
-    capacity: Vec<u64>,
-    quorum: u64,
-    wave: Vec<(NodeId, u64)>,
-    next: Vec<(NodeId, u64)>,
-    incoming: Vec<u64>,
-    touched: Worklist,
 }
 
 /// A dense per-node `u64` map whose entries are valid only for one wave
@@ -1141,6 +1091,22 @@ mod tests {
             assert_eq!(out, run(&mut fresh, majority), "majority {majority}");
             assert_eq!(state(&sim), state(&fresh), "majority {majority}");
         }
+    }
+
+    /// A zero-quota relayer sends nothing. Without a crash load it
+    /// still takes one silent wave; a sim with a crash load — even an
+    /// empty one — schedules only relayers that send copies.
+    #[test]
+    fn zero_quota_relayers_take_a_wave_only_without_a_crash_load() {
+        let (grid, p) = small();
+        let proto = CountingProtocol::starved(&grid, p, 0);
+        let plain = CountingSim::new(grid.clone(), proto.clone(), 0, &[], p.mf).run_oracle(p.mf);
+        let crash = CountingSim::new(grid, proto, 0, &[], p.mf)
+            .with_crash_nodes(&[], CrashBehavior::Immediate)
+            .run_oracle(p.mf);
+        assert_eq!((plain.waves, crash.waves), (2, 1));
+        assert_eq!(plain.accepted_true, 9, "the source's neighborhood");
+        assert_eq!(plain, CountingOutcome { waves: 2, ..crash });
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The unified engine surface: one `prepare / step / outcome` contract
-//! over all four simulation engines.
+//! over every simulation engine.
 //!
 //! Each engine in this crate grew its own entry points — the counting
-//! engine's strategy/oracle/majority runs, the slot engine's round
-//! loop, the hybrid crash engine's waves, the agreement engine's three
-//! phases. [`SimEngine`] puts one incremental surface over all of them
+//! engine's strategy and oracle runs (crash loads included), the slot
+//! engine's round loop, the agreement engine's three phases. [`SimEngine`] puts one incremental surface over all of them
 //! so generic machinery (the scenario batch runner in `bftbcast`, the
 //! CLI, future schedulers) can drive any engine without knowing which
 //! one it holds:
@@ -49,8 +48,7 @@ use bftbcast_adversary::{Chaos, CorruptionStrategy, GreedyFrontier, Passive};
 use bftbcast_net::{NodeId, ScanMode, Topology, Value};
 
 use crate::agreement::{AgreementOutcome, AgreementSim, SourceBehavior, SplitAttack};
-use crate::counting::{AttackRun, CountingSim, MajorityRun, OracleRun};
-use crate::crash::{CrashRun, HybridSim};
+use crate::counting::{AttackRun, CountingSim, OracleRun};
 use crate::metrics::{CountingOutcome, RbcOutcome, ReactiveOutcome};
 use crate::slot::{SlotRun, SlotSim};
 
@@ -65,9 +63,9 @@ pub trait SimEngine {
     fn topology(&self) -> &Topology;
 
     /// (Re)initializes the run from the engine's configuration,
-    /// discarding any previous run's state. The counting and crash
-    /// engines run their simulator as built on the first call and reset
-    /// it in place on later ones, so a re-prepare allocates no second
+    /// discarding any previous run's state. The counting engine (which
+    /// also runs crash loads) runs its simulator as built on the first
+    /// call and resets it in place on later ones, so a re-prepare allocates no second
     /// copy of the per-node state; the slot and rbc engines rebuild
     /// theirs (they own a seeded RNG).
     fn prepare(&mut self);
@@ -81,7 +79,7 @@ pub trait SimEngine {
     fn outcome(&self) -> EngineOutcome;
 
     /// Per-node tallies. Every engine answers for the nodes it tracks:
-    /// the counting and crash engines for all nodes, the slot engine
+    /// the counting engine for all nodes, the slot engine
     /// for good nodes (`None` at Byzantine cells), the agreement engine
     /// for neighborhood members once the run finished. The exact
     /// meaning of each [`Probe`] field per engine is documented on
@@ -91,11 +89,12 @@ pub trait SimEngine {
         None
     }
 
-    /// Selects dense or frontier per-step iteration (see [`ScanMode`]).
-    /// Both modes are bit-identical in outcomes and probes; the flag
-    /// only changes per-step cost. Call before [`SimEngine::prepare`];
-    /// the mode persists across re-prepares. Engines without a dense
-    /// scan to switch away from (the agreement engine is already
+    /// Selects frontier or every-node iteration (see [`ScanMode`]).
+    /// Both modes run the same step loop and are bit-identical in
+    /// outcomes and probes; `Dense` feeds the loop every node and
+    /// cross-checks the engine's incremental bookkeeping. Call before
+    /// [`SimEngine::prepare`]; the mode persists across re-prepares.
+    /// Engines without a worklist (the agreement engine is already
     /// neighborhood-local) ignore it.
     fn set_scan_mode(&mut self, mode: ScanMode) {
         let _ = mode;
@@ -112,7 +111,7 @@ pub trait SimEngine {
 /// Outcome of any [`SimEngine`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineOutcome {
-    /// A counting or crash/hybrid engine run.
+    /// A counting-engine run (crash loads included).
     Counting(CountingOutcome),
     /// A slot-engine (`Breactive`) run.
     Reactive(ReactiveOutcome),
@@ -263,12 +262,13 @@ pub enum CountingDrive {
 enum CountingState {
     Idle,
     Oracle(OracleRun),
-    Majority(MajorityRun),
     Attack(AttackRun, Box<dyn CorruptionStrategy>),
 }
 
 /// [`SimEngine`] over the worst-case counting engine (and, via
-/// [`CountingDrive`], every adversary model it supports).
+/// [`CountingDrive`], every adversary model it supports). A crash load
+/// ([`CountingSim::with_crash_nodes`]) runs on the
+/// [`CountingDrive::Oracle`] drive.
 ///
 /// The engine holds one simulator: the first `prepare` runs it as
 /// built, and every later one [`reset`](CountingSim::reset)s it in
@@ -310,7 +310,7 @@ impl SimEngine for CountingEngine {
         self.state = match self.drive {
             CountingDrive::Oracle => CountingState::Oracle(self.live.begin_oracle(self.mf)),
             CountingDrive::Majority { quorum } => {
-                CountingState::Majority(self.live.begin_majority_oracle(self.mf, quorum))
+                CountingState::Oracle(self.live.begin_majority_oracle(self.mf, quorum))
             }
             CountingDrive::Passive => {
                 CountingState::Attack(self.live.begin_attack(), Box::new(Passive))
@@ -332,85 +332,7 @@ impl SimEngine for CountingEngine {
         match &mut self.state {
             CountingState::Idle => unreachable!("prepared above"),
             CountingState::Oracle(run) => self.live.step_oracle(run),
-            CountingState::Majority(run) => self.live.step_majority_oracle(run),
             CountingState::Attack(run, strategy) => self.live.step_attack(run, strategy.as_mut()),
-        }
-    }
-
-    fn outcome(&self) -> EngineOutcome {
-        EngineOutcome::Counting(self.live.outcome())
-    }
-
-    fn probe(&self, u: NodeId) -> Option<Probe> {
-        Some(Probe {
-            tally_true: self.live.tally_true(u),
-            tally_wrong: self.live.tally_wrong(u),
-            decided_neighbors: self.live.decided_neighbors(u),
-            accepted: self.live.accepted(u),
-            ..Probe::default()
-        })
-    }
-
-    fn set_scan_mode(&mut self, mode: ScanMode) {
-        self.live.set_scan_mode(mode);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Crash / hybrid engine
-// ---------------------------------------------------------------------
-
-enum CrashState {
-    Idle,
-    Running(CrashRun),
-}
-
-/// [`SimEngine`] over the hybrid crash + Byzantine engine. Like
-/// [`CountingEngine`], it holds one simulator and
-/// [`reset`](HybridSim::reset)s it in place on a re-prepare.
-pub struct CrashEngine {
-    live: HybridSim,
-    mf: u64,
-    state: CrashState,
-}
-
-impl CrashEngine {
-    /// Wraps a configured engine (crash and Byzantine sets already
-    /// marked). `mf` is the per-(Byzantine node, receiver) capacity; 0
-    /// for a collision-free run.
-    pub fn new(sim: HybridSim, mf: u64) -> Self {
-        CrashEngine {
-            live: sim,
-            mf,
-            state: CrashState::Idle,
-        }
-    }
-
-    /// The live engine, for inspection beyond [`SimEngine::probe`].
-    pub fn sim(&self) -> &HybridSim {
-        &self.live
-    }
-}
-
-impl SimEngine for CrashEngine {
-    fn topology(&self) -> &Topology {
-        self.live.topology()
-    }
-
-    fn prepare(&mut self) {
-        if !matches!(self.state, CrashState::Idle) {
-            self.live.reset();
-        }
-        self.state = CrashState::Running(self.live.begin(self.mf));
-    }
-
-    fn step(&mut self) -> bool {
-        if matches!(self.state, CrashState::Idle) {
-            self.prepare();
-        }
-        match &mut self.state {
-            CrashState::Idle => unreachable!("prepared above"),
-            CrashState::Running(run) => self.live.step_wave(run),
         }
     }
 
@@ -790,12 +712,11 @@ mod tests {
             .filter(|u| !bad.contains(u) && *u != 0)
             .collect();
         let build = || {
-            let sim = HybridSim::new(grid.clone(), proto.clone(), 0)
-                .with_byzantine_nodes(&bad)
+            let sim = CountingSim::new(grid.clone(), proto.clone(), 0, &bad, p.mf)
                 .with_crash_nodes(&dead, CrashBehavior::AfterCopies(1));
-            CrashEngine::new(sim, p.mf)
+            CountingEngine::new(sim, p.mf, CountingDrive::Oracle)
         };
-        let wave = |e: &CrashEngine, u| e.sim().accepted_wave(u);
+        let wave = |e: &CountingEngine, u| e.sim().accepted_wave(u);
         assert_reprepare_is_fresh(build, wave, "crash");
     }
 
@@ -822,13 +743,12 @@ mod tests {
             .filter(|u| !bad.contains(u) && *u != 0)
             .collect();
         let build = || {
-            HybridSim::new(grid.clone(), proto.clone(), 0)
-                .with_byzantine_nodes(&bad)
+            CountingSim::new(grid.clone(), proto.clone(), 0, &bad, p.mf)
                 .with_crash_nodes(&dead, CrashBehavior::Immediate)
         };
-        let mut engine = CrashEngine::new(build(), p.mf);
+        let mut engine = CountingEngine::new(build(), p.mf, CountingDrive::Oracle);
         let stepped = engine.run_to_completion();
-        let expected = build().run(p.mf);
+        let expected = build().run_oracle(p.mf);
         assert_eq!(*stepped.as_counting().unwrap(), expected);
     }
 

@@ -7,27 +7,29 @@
 //!   copy-counting used in the paper's proofs (Theorems 1–3, Figure 2).
 //!   Transmissions carry multiplicities, the adversary spends collision
 //!   budget through validated [`bftbcast_adversary::AttackPlan`]s, and
-//!   acceptance is threshold-based. Fast enough for full parameter
-//!   sweeps (a 45×45 torus run is well under a millisecond).
+//!   acceptance is threshold-based. Its nodes are good, Byzantine or
+//!   crash-stop ([`crash`]), so hybrid fault loads run in the same wave
+//!   loop. Fast enough for full parameter sweeps (a 45×45 torus run is
+//!   well under a millisecond).
 //! * [`slot`] — the **slot-level discrete-event engine**: explicit TDMA
 //!   message rounds, coded frames, collision superposition, NACKs and
 //!   certified propagation — the Section 5 (`Breactive`) machinery,
 //!   also used to cross-validate the counting engine on small
 //!   configurations.
 //!
-//! Two further engines build on the same substrate: [`crash`] (hybrid
-//! crash + Byzantine fault loads) and [`agreement`]
+//! A third engine builds on the same substrate: [`agreement`]
 //! (source-neighborhood agreement under a faulty base station).
 //!
 //! [`engine`] puts one incremental [`SimEngine`] surface
 //! (`prepare / step / outcome` over a shared
-//! [`bftbcast_net::Topology`]) over all four engines — the contract the
+//! [`bftbcast_net::Topology`]) over all three engines — the contract the
 //! declarative scenario runtime in the `bftbcast` crate drives.
 //! [`runner`] adds seeded parameter sweeps parallelized with std
 //! scoped threads, and [`metrics`] the outcome records the engines
 //! produce. [`oracle`] is the differential harness for the frontier
-//! kernel: it runs any engine in [`bftbcast_net::ScanMode::Frontier`]
-//! and [`bftbcast_net::ScanMode::Dense`] lockstep, asserting per-step
+//! kernel: it runs any engine's one step loop fed the frontier
+//! ([`bftbcast_net::ScanMode::Frontier`]) and fed every node
+//! ([`bftbcast_net::ScanMode::Dense`]) in lockstep, asserting per-step
 //! state equality.
 //!
 //! # Example
@@ -59,7 +61,6 @@ pub mod runner;
 pub mod slot;
 
 pub use counting::CountingSim;
-pub use crash::HybridSim;
 pub use engine::{EngineOutcome, Probe, SimEngine};
 pub use metrics::{CountingOutcome, RbcOutcome, ReactiveOutcome};
 pub use oracle::DenseOracle;

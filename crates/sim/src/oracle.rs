@@ -3,10 +3,14 @@
 //! The frontier worklist ([`bftbcast_net::Worklist`]) is an *optimization*:
 //! per-wave cost drops from `O(n)` to `O(front)`, but every observable —
 //! outcomes, per-node probes, per-wave decided/sent counters — must stay
-//! bit-identical to the legacy full-scan loops. [`DenseOracle`] enforces
-//! that claim mechanically: it takes two identically configured engines,
-//! pins one to [`ScanMode::Dense`] and one to [`ScanMode::Frontier`], and
-//! drives them **in lockstep**, asserting after every single step that
+//! bit-identical to visiting every node. Each engine has one step loop;
+//! [`ScanMode::Dense`] feeds it every node instead of the touched set,
+//! and makes the engine check its incremental bookkeeping (the
+//! strategy view, the slot engine's termination counters) against a
+//! rescan. [`DenseOracle`] enforces the claim mechanically: it takes two
+//! identically configured engines, pins one to [`ScanMode::Dense`] and
+//! one to [`ScanMode::Frontier`], and drives them **in lockstep**,
+//! asserting after every single step that
 //!
 //! * both report the same "more work remains" flag,
 //! * both report the same [`EngineOutcome`] (partial outcomes included,
@@ -42,8 +46,8 @@ use bftbcast_net::ScanMode;
 
 use crate::engine::{EngineOutcome, SimEngine};
 
-/// Lockstep differential runner: a frontier engine checked against a
-/// dense full-scan twin after every step.
+/// Lockstep differential runner: a frontier engine checked against the
+/// same engine fed every node, after every step.
 ///
 /// Construct it from two engines built from the *same* configuration
 /// (same grid, protocol, adversary, seed). The harness owns scan-mode
@@ -153,8 +157,8 @@ impl DenseOracle {
 mod tests {
     use super::*;
     use crate::counting::CountingSim;
-    use crate::crash::{CrashBehavior, HybridSim};
-    use crate::engine::{CountingDrive, CountingEngine, CrashEngine, SlotEngine};
+    use crate::crash::CrashBehavior;
+    use crate::engine::{CountingDrive, CountingEngine, SlotEngine};
     use crate::slot::{ReactiveAdversary, SlotConfig};
     use bftbcast_net::Grid;
     use bftbcast_protocols::reactive::ReactiveConfig;
@@ -212,11 +216,10 @@ mod tests {
             let grid = Grid::new(19, 19, 2).unwrap();
             let params = Params::new(2, 1, 12);
             let proto = CountingProtocol::protocol_b(&grid, params);
-            let sim = HybridSim::new(grid, proto, 0)
-                .with_byzantine_nodes(&[300, 77])
+            let sim = CountingSim::new(grid, proto, 0, &[300, 77], params.mf)
                 .with_crash_nodes(&[40, 41], CrashBehavior::Immediate)
                 .with_crash_nodes(&[160], CrashBehavior::AfterCopies(1));
-            Box::new(CrashEngine::new(sim, params.mf))
+            Box::new(CountingEngine::new(sim, params.mf, CountingDrive::Oracle))
         };
         DenseOracle::new(build(), build()).run();
     }

@@ -121,7 +121,7 @@ pub struct SlotSim {
     /// Nodes whose per-round flags were set this round by a delivery.
     round_touched: Worklist,
     // Incremental termination counters, maintained at every state
-    // transition so the frontier path's `finished()` is O(1).
+    // transition so `finished()` is O(1).
     uncommitted_good: usize,
     busy_senders: usize,
     pending_nacks: usize,
@@ -298,8 +298,10 @@ impl SlotSim {
         true
     }
 
-    /// Selects dense or frontier per-round iteration (see [`ScanMode`]).
-    /// Both modes are bit-identical; set before the first round.
+    /// Selects frontier or every-node iteration (see [`ScanMode`]).
+    /// Both run the same round loop and are bit-identical; `Dense` also
+    /// checks the termination counters every round. Set before the
+    /// first round.
     pub fn set_scan_mode(&mut self, mode: ScanMode) {
         self.scan = mode;
     }
@@ -310,18 +312,7 @@ impl SlotSim {
     }
 
     fn finished(&self) -> bool {
-        match self.scan {
-            ScanMode::Dense => self.nodes.iter().flatten().all(|g| {
-                g.committed_value.is_some()
-                    && g.sender.as_ref().as_ref().is_none_or(|s| s.is_done())
-                    && !g.pending_nack
-            }),
-            // The counters track exactly the three clauses of the dense
-            // scan, updated at every state transition.
-            ScanMode::Frontier => {
-                self.uncommitted_good == 0 && self.busy_senders == 0 && self.pending_nacks == 0
-            }
-        }
+        self.uncommitted_good == 0 && self.busy_senders == 0 && self.pending_nacks == 0
     }
 
     fn step(&mut self, slot: u32) {
@@ -394,36 +385,48 @@ impl SlotSim {
         // --- Delivery.
         self.deliver(&txs);
 
-        // --- Advance sender state machines.
-        match self.scan {
-            ScanMode::Dense => {
-                for id in 0..self.topology.node_count() {
-                    self.advance_node(id);
-                }
+        // --- Advance sender state machines. Every node holding a
+        // sender is in `live_senders` (inserted at creation, compacted
+        // below), so ticking those covers every possible `on_round_end`
+        // effect; the rest of the touched set only needs its per-round
+        // flags cleared. Untouched senderless nodes have both flags
+        // false already.
+        let dense = self.scan == ScanMode::Dense;
+        if dense {
+            self.live_senders.insert_all();
+        }
+        for i in 0..self.live_senders.len() {
+            let id = self.live_senders.item(i);
+            self.advance_node(id);
+        }
+        for i in 0..self.round_touched.len() {
+            let id = self.round_touched.item(i);
+            if let Some(node) = self.nodes[id].as_mut() {
+                node.heard_nack_this_round = false;
+                node.transmitted_this_round = false;
             }
-            ScanMode::Frontier => {
-                // Every node holding a sender is in `live_senders`
-                // (inserted at creation, compacted below), so ticking
-                // those covers every possible `on_round_end` effect; the
-                // rest of the touched set only needs its per-round flags
-                // cleared. Untouched senderless nodes have both flags
-                // false already.
-                for i in 0..self.live_senders.len() {
-                    let id = self.live_senders.item(i);
-                    self.advance_node(id);
-                }
-                for i in 0..self.round_touched.len() {
-                    let id = self.round_touched.item(i);
-                    if let Some(node) = self.nodes[id].as_mut() {
-                        node.heard_nack_this_round = false;
-                        node.transmitted_this_round = false;
-                    }
-                }
-                self.round_touched.clear();
-                let nodes = &self.nodes;
-                self.live_senders
-                    .retain(|id| nodes[id].as_ref().is_some_and(|n| n.sender.is_some()));
-            }
+        }
+        self.round_touched.clear();
+        let nodes = &self.nodes;
+        self.live_senders
+            .retain(|id| nodes[id].as_ref().is_some_and(|n| n.sender.is_some()));
+        if dense {
+            // The termination counters against the three clauses of
+            // `finished()`, rescanned.
+            let good = self.nodes.iter().flatten();
+            let rescan = (
+                good.clone().filter(|g| g.committed_value.is_none()).count(),
+                good.clone()
+                    .filter(|g| g.sender.as_ref().is_some_and(|s| !s.is_done()))
+                    .count(),
+                good.filter(|g| g.pending_nack).count(),
+            );
+            assert_eq!(
+                (self.uncommitted_good, self.busy_senders, self.pending_nacks),
+                rescan,
+                "round {}: termination counters (uncommitted, busy, pending) drifted",
+                self.rounds
+            );
         }
     }
 

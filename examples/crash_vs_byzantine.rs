@@ -38,9 +38,9 @@ fn main() {
     dead.sort_unstable();
     dead.dedup();
     let proto = crash_only_protocol(&grid);
-    let mut sim =
-        HybridSim::new(grid.clone(), proto, 0).with_crash_nodes(&dead, CrashBehavior::Immediate);
-    let out = sim.run(0);
+    let mut sim = CountingSim::new(grid.clone(), proto, 0, &[], 0)
+        .with_crash_nodes(&dead, CrashBehavior::Immediate);
+    let out = sim.run_oracle(0);
     println!(
         "{} crashed nodes, coverage {:.1}%, total good copies sent: {}",
         dead.len(),
@@ -54,9 +54,9 @@ fn main() {
     barrier.sort_unstable();
     barrier.dedup();
     let proto = crash_only_protocol(&grid);
-    let mut sim =
-        HybridSim::new(grid.clone(), proto, 0).with_crash_nodes(&barrier, CrashBehavior::Immediate);
-    let out = sim.run(0);
+    let mut sim = CountingSim::new(grid.clone(), proto, 0, &[], 0)
+        .with_crash_nodes(&barrier, CrashBehavior::Immediate);
+    let out = sim.run_oracle(0);
     println!(
         "two height-{r} stripes ({} nodes): coverage {:.1}% — the isolated band is starved, \
          which is why the crash threshold is r(2r+1) = {}",
@@ -76,10 +76,9 @@ fn main() {
         .filter(|u| !byz.contains(u) && *u != 0)
         .collect();
     let proto = CountingProtocol::protocol_b(&grid, p);
-    let mut sim = HybridSim::new(grid, proto, 0)
-        .with_byzantine_nodes(&byz)
+    let mut sim = CountingSim::new(grid, proto, 0, &byz, mf)
         .with_crash_nodes(&dead, CrashBehavior::Immediate);
-    let out = sim.run(mf);
+    let out = sim.run_oracle(mf);
     println!(
         "{} byzantine + {} crashed: protocol B at 2*m0 still delivers \
          coverage {:.1}%, correct={}",

@@ -104,10 +104,11 @@ fn main() {
         dead.sort_unstable();
         dead.dedup();
         let proto = crash_only_protocol(&grid);
-        let mut sim = HybridSim::new(grid.clone(), proto, 0)
+        let mut sim = CountingSim::new(grid.clone(), proto, 0, &[], 0)
             .with_crash_nodes(&dead, CrashBehavior::Immediate);
-        let out = sim.run(0);
-        // HybridSim is not a CountingSim; build the map by hand.
+        let out = sim.run_oracle(0);
+        // `GridMap::from_counting_sim` draws every non-good node as
+        // Byzantine; build the map by hand to mark the crashed ones.
         let mut map = GridMap::new(&grid, 14);
         for u in grid.nodes() {
             let style = if u == 0 {

@@ -50,9 +50,9 @@ proptest! {
         dead.sort_unstable();
         dead.dedup();
 
-        let mut sim = HybridSim::new(grid.clone(), crash_only_protocol(&grid), 0)
+        let mut sim = CountingSim::new(grid.clone(), crash_only_protocol(&grid), 0, &[], 0)
             .with_crash_nodes(&dead, CrashBehavior::Immediate);
-        let out = sim.run(0);
+        let out = sim.run_oracle(0);
         prop_assert!(out.is_correct());
 
         let reachable = reachable_good(&grid, 0, &dead);
@@ -195,9 +195,9 @@ fn crash_engine_matches_reachability_with_barrier() {
     dead.extend(crash_stripe(&grid, 14, 2));
     dead.sort_unstable();
     dead.dedup();
-    let mut sim = HybridSim::new(grid.clone(), crash_only_protocol(&grid), 0)
+    let mut sim = CountingSim::new(grid.clone(), crash_only_protocol(&grid), 0, &[], 0)
         .with_crash_nodes(&dead, CrashBehavior::Immediate);
-    sim.run(0);
+    sim.run_oracle(0);
     let reachable = reachable_good(&grid, 0, &dead);
     for u in grid.nodes() {
         if dead.contains(&u) {

@@ -72,8 +72,8 @@ fn cheap_splits_where_proven_does_not() {
 }
 
 /// Crash and Byzantine engines agree with the counting engine where
-/// they overlap: a Byzantine-only HybridSim run matches
-/// CountingSim::run_oracle on the same placement.
+/// they overlap: a Byzantine-only crash-engine run (a crash load with no
+/// crash node) matches CountingSim::run_oracle on the same placement.
 #[test]
 fn hybrid_engine_matches_counting_oracle_on_byzantine_only_loads() {
     let grid = Grid::new(20, 20, 2).unwrap();
@@ -85,11 +85,12 @@ fn hybrid_engine_matches_counting_oracle_on_byzantine_only_loads() {
         .collect::<Vec<_>>();
 
     let proto = CountingProtocol::protocol_b(&grid, p);
-    let mut counting = bftbcast::sim::CountingSim::new(grid.clone(), proto.clone(), 0, &bad, p.mf);
+    let mut counting = CountingSim::new(grid.clone(), proto.clone(), 0, &bad, p.mf);
     let a = counting.run_oracle(p.mf);
 
-    let mut hybrid = HybridSim::new(grid, proto, 0).with_byzantine_nodes(&bad);
-    let b = hybrid.run(p.mf);
+    let mut hybrid = CountingSim::new(grid, proto, 0, &bad, p.mf)
+        .with_crash_nodes(&[], CrashBehavior::Immediate);
+    let b = hybrid.run_oracle(p.mf);
 
     assert_eq!(a.good_nodes, b.good_nodes);
     assert_eq!(a.accepted_true, b.accepted_true);
@@ -110,18 +111,21 @@ fn crash_threshold_is_sharp_on_the_torus() {
             dead.extend(crash_stripe(&grid, 2 * side / 3 + r, r - 1));
             dead.sort_unstable();
             dead.dedup();
-            let mut sim = HybridSim::new(grid.clone(), crash_only_protocol(&grid), 0)
+            let mut sim = CountingSim::new(grid.clone(), crash_only_protocol(&grid), 0, &[], 0)
                 .with_crash_nodes(&dead, CrashBehavior::Immediate);
-            assert!(sim.run(0).is_complete(), "r={r}: height r-1 must leak");
+            assert!(
+                sim.run_oracle(0).is_complete(),
+                "r={r}: height r-1 must leak"
+            );
         }
         // Height r blocks.
         let mut dead = crash_stripe(&grid, side / 3, r);
         dead.extend(crash_stripe(&grid, 2 * side / 3 + r, r));
         dead.sort_unstable();
         dead.dedup();
-        let mut sim = HybridSim::new(grid.clone(), crash_only_protocol(&grid), 0)
+        let mut sim = CountingSim::new(grid.clone(), crash_only_protocol(&grid), 0, &[], 0)
             .with_crash_nodes(&dead, CrashBehavior::Immediate);
-        let out = sim.run(0);
+        let out = sim.run_oracle(0);
         assert!(!out.is_complete(), "r={r}: height r must disconnect");
         assert!(out.is_correct(), "crash faults never forge");
     }
