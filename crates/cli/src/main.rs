@@ -3,6 +3,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
+
 use bftbcast_cli::{args, commands};
 
 fn main() {
@@ -15,7 +17,17 @@ fn main() {
         }
     };
     match commands::dispatch(&parsed) {
-        Ok(text) => print!("{text}"),
+        Ok(text) => {
+            let mut out = io::stdout().lock();
+            match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+                // A reader that stopped early (`| head`) wants no more.
+                Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
+                _ => {}
+            }
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);

@@ -67,13 +67,19 @@ pub struct Worklist {
     nodes: usize,
     /// One mark bit per node; `marks[u / 64] >> (u % 64) & 1`.
     marks: Vec<u64>,
-    /// The queued ids, in insertion order until [`Worklist::sort`].
-    items: Vec<NodeId>,
+    /// The queued ids, in insertion order until [`Worklist::sort`];
+    /// `u32` halves the buffer a dense run fills with every id.
+    items: Vec<u32>,
 }
 
 impl Worklist {
     /// An empty worklist over `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// If `n` does not fit in `u32`.
     pub fn new(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "node count exceeds u32");
         Worklist {
             nodes: n,
             marks: vec![0; n.div_ceil(64)],
@@ -104,20 +110,20 @@ impl Worklist {
             return false;
         }
         *word |= bit;
-        self.items.push(u);
+        self.items.push(u as u32);
         true
     }
 
     /// The queued ids — insertion order, or ascending after
     /// [`Worklist::sort`].
-    pub fn as_slice(&self) -> &[NodeId] {
-        &self.items
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.items.iter().map(|&u| u as NodeId)
     }
 
     /// The `i`-th queued id (by-value accessor so callers can iterate
     /// while mutating other state).
     pub fn item(&self, i: usize) -> NodeId {
-        self.items[i]
+        self.items[i] as NodeId
     }
 
     /// Queues every node not yet queued, in ascending id order.
@@ -137,7 +143,7 @@ impl Worklist {
     /// queued nodes.
     pub fn clear(&mut self) {
         for &u in &self.items {
-            self.marks[u / 64] = 0;
+            self.marks[u as usize / 64] = 0;
         }
         self.items.clear();
     }
@@ -147,6 +153,7 @@ impl Worklist {
     pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
         let marks = &mut self.marks;
         self.items.retain(|&u| {
+            let u = u as NodeId;
             if keep(u) {
                 true
             } else {
@@ -185,8 +192,8 @@ impl Worklist {
             let mut fresh = mask & !self.marks[w];
             self.marks[w] |= fresh;
             while fresh != 0 {
-                let bit = fresh.trailing_zeros() as usize;
-                self.items.push(w * 64 + bit);
+                let bit = fresh.trailing_zeros();
+                self.items.push(w as u32 * 64 + bit);
                 fresh &= fresh - 1;
             }
         }
@@ -221,7 +228,7 @@ mod tests {
             wl.insert(u);
         }
         wl.sort();
-        assert_eq!(wl.as_slice(), &[1, 3, 9, 60]);
+        assert!(wl.iter().eq([1, 3, 9, 60]));
         assert_eq!(wl.item(2), 9);
     }
 
@@ -232,7 +239,7 @@ mod tests {
             wl.insert(u);
         }
         wl.retain(|u| u != 65);
-        assert_eq!(wl.as_slice(), &[2, 70]);
+        assert!(wl.iter().eq([2, 70]));
         assert!(!wl.contains(65));
         assert!(wl.insert(65), "retained-out nodes can re-enter");
     }
@@ -243,8 +250,7 @@ mod tests {
         wl.insert(64); // pre-marked: the run must skip it
         wl.insert_run(60, 130);
         wl.sort();
-        let expect: Vec<NodeId> = (60..=130).collect();
-        assert_eq!(wl.as_slice(), &expect[..]);
+        assert!(wl.iter().eq(60..=130));
         for u in 60..=130 {
             assert!(wl.contains(u));
         }
@@ -259,7 +265,7 @@ mod tests {
         wl.insert_all();
         assert_eq!(wl.len(), 130);
         wl.sort();
-        assert!(wl.as_slice().iter().copied().eq(0..130));
+        assert!(wl.iter().eq(0..130));
         assert!(!wl.insert(129), "already queued");
     }
 
@@ -278,7 +284,7 @@ mod tests {
         }
         fast.sort();
         slow.sort();
-        assert_eq!(fast.as_slice(), slow.as_slice());
+        assert!(fast.iter().eq(slow.iter()));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! distinct ~100-byte canonical encodings to hash equal, at 2⁻⁶⁴).
 
 /// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -40,6 +40,27 @@ pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Four [`fnv1a_extend`]s at once: `out[i] == fnv1a_extend(h[i],
+/// bytes[i])`. FNV-1a is one serial xor-multiply chain per byte, so one
+/// hash runs at the multiply's latency. Stepping four independent
+/// chains in lockstep over the strings' common length keeps four
+/// multiplies in flight instead of one. The part of each string past
+/// the shortest one is finished alone.
+pub(crate) fn fnv1a_extend4(mut h: [u64; 4], bytes: [&[u8]; 4]) -> [u64; 4] {
+    let common = bytes.iter().map(|b| b.len()).min().unwrap_or(0);
+    let [a, b, c, d] = bytes.map(|s| &s[..common]);
+    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ u64::from(x0)).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ u64::from(x1)).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ u64::from(x2)).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ u64::from(x3)).wrapping_mul(FNV_PRIME);
+    }
+    for (h, s) in h.iter_mut().zip(bytes) {
+        *h = fnv1a_extend(*h, &s[common..]);
     }
     h
 }

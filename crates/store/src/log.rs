@@ -33,11 +33,22 @@
 //! back from the file and re-verifies it, so a long-running server's
 //! memory does not grow with the points it computes.
 //!
+//! A log of 1 MiB or more is read on every core: each thread fills one
+//! disjoint part of the image with a positioned read. Bytes appended
+//! after the file's length was taken are read on to the end of file,
+//! and a file that shrank is read again from the start, so the image is
+//! exactly what `std::fs::read` gives. The maintenance scans read the
+//! log the same way.
+//!
 //! A clean log, the common case, is framed by its length fields and its
-//! checksums are then verified on every core. Any framing or checksum
-//! failure falls back to the serial scanner, which resynchronizes
-//! across damage; the two give the same records and the same
-//! [`RecoveryReport`], so the fast path changes only the time open
+//! checksums are then verified on every core, one run of records per
+//! thread. Each thread hashes four records in lockstep: FNV-1a is one
+//! serial multiply chain per byte, and four independent chains keep the
+//! multiplier busy where one waits on its latency. The lanes compute
+//! the same `sum` as the serial hash, byte for byte. Any framing or
+//! checksum failure falls back to the serial scanner, which
+//! resynchronizes across damage; the two give the same records and the
+//! same [`RecoveryReport`], so the fast path changes only the time open
 //! takes.
 //!
 //! # Recovery
@@ -71,14 +82,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::num::NonZeroUsize;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use crate::canon::{fnv1a, fnv1a_extend};
+use crate::canon::{fnv1a, fnv1a_extend, fnv1a_extend4, FNV_OFFSET};
 use crate::fault::{FaultPlan, FaultStats, WriteFault};
 
 /// Log file magic: 7 tag bytes plus one format-version byte.
@@ -91,8 +102,8 @@ pub(crate) const LOG_NAME: &str = "store.log";
 pub(crate) const HEADER_LEN: usize = 20;
 /// Sanity bound on one payload; a larger `len` field is corruption.
 pub(crate) const MAX_PAYLOAD: usize = 1 << 26;
-/// Logs shorter than this verify their checksums on the calling thread;
-/// longer ones split the work across every core.
+/// Logs shorter than this are read and verified on the calling thread;
+/// longer ones split both across every core.
 const PARALLEL_VERIFY_MIN: usize = 1 << 20;
 
 /// Hit/miss accounting for one store instance (process lifetime, not
@@ -196,11 +207,15 @@ fn frame_at(buf: &[u8], pos: usize) -> Option<Located> {
     (len <= MAX_PAYLOAD && at + len <= buf.len()).then_some((key, at, len))
 }
 
+/// The checksum stored in the 8 bytes before the payload at `at`.
+fn stored_sum(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at - 8..at].try_into().expect("8 bytes"))
+}
+
 /// Whether a framed v2 record's payload matches the checksum stored in
 /// the 8 bytes before it.
 fn verifies(buf: &[u8], (key, at, len): Located) -> bool {
-    let sum = u64::from_le_bytes(buf[at - 8..at].try_into().expect("8 bytes"));
-    record_sum(key, &buf[at..at + len]) == sum
+    record_sum(key, &buf[at..at + len]) == stored_sum(buf, at)
 }
 
 /// Tries to parse and verify one v2 record at `pos`; `Some` only when
@@ -239,7 +254,7 @@ fn scan_v2_with(buf: &[u8], threads: usize) -> Scan {
     }
 }
 
-/// How many threads verify a `len`-byte log: one below
+/// How many threads read and verify a `len`-byte log: one below
 /// [`PARALLEL_VERIFY_MIN`], every available core above it.
 fn verify_threads(len: usize) -> usize {
     if len < PARALLEL_VERIFY_MIN {
@@ -249,10 +264,74 @@ fn verify_threads(len: usize) -> usize {
     }
 }
 
+/// Reads the whole log at `path` into one buffer, returning what
+/// `std::fs::read` would; [`Store::open`] and the maintenance scans
+/// both read the log through it.
+pub(crate) fn read_log(path: &Path) -> io::Result<Vec<u8>> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    read_image(&file, len, verify_threads(len))
+}
+
+/// Reads `file`, whose length was `len` when it was taken, with one
+/// positioned read per thread into disjoint parts of the buffer. A file
+/// that grew since is read on to its end; one that shrank (a part met
+/// the end early) is read again from the start. Either way the result
+/// is the file's bytes up to the end of file, as `std::fs::read` gives.
+fn read_image(mut file: &File, len: usize, threads: usize) -> io::Result<Vec<u8>> {
+    let mut image = vec![0; len];
+    let part = len.div_ceil(threads).max(1);
+    let read = std::thread::scope(|s| {
+        let mut parts = image.chunks_mut(part).zip((0..).step_by(part));
+        let first = parts.next();
+        let rest: Vec<_> = parts
+            .map(|(chunk, at)| s.spawn(move || file.read_exact_at(chunk, at)))
+            .collect();
+        let mine = first.map_or(Ok(()), |(chunk, at)| file.read_exact_at(chunk, at));
+        rest.into_iter().fold(mine, |read, h| {
+            let theirs = h.join().expect("a positioned read cannot panic");
+            read.and(theirs)
+        })
+    });
+    match read {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => image.clear(),
+        Err(e) => return Err(e),
+    }
+    file.seek(SeekFrom::Start(image.len() as u64))?;
+    file.read_to_end(&mut image)?;
+    Ok(image)
+}
+
+/// [`verifies`] for four framed records at once: their checksums are
+/// hashed in lockstep by [`fnv1a_extend4`], which hides the multiply
+/// latency one serial FNV-1a chain waits on.
+fn verifies4(buf: &[u8], group: [Located; 4]) -> [bool; 4] {
+    let heads = group.map(|(key, _, len)| {
+        let mut head = [0; 12];
+        head[..8].copy_from_slice(&key.to_le_bytes());
+        head[8..].copy_from_slice(&(len as u32).to_le_bytes());
+        head
+    });
+    let h = fnv1a_extend4([FNV_OFFSET; 4], heads.each_ref().map(|h| &h[..]));
+    let sums = fnv1a_extend4(h, group.map(|(_, at, len)| &buf[at..at + len]));
+    std::array::from_fn(|i| sums[i] == stored_sum(buf, group[i].1))
+}
+
+/// Whether every record of `chunk` verifies: four at a time through
+/// [`verifies4`], the last one to three on their own.
+fn verify_chunk(buf: &[u8], chunk: &[Located]) -> bool {
+    let mut groups = chunk.chunks_exact(4);
+    groups
+        .by_ref()
+        .all(|g| verifies4(buf, g.try_into().expect("4 records")) == [true; 4])
+        && groups.remainder().iter().all(|&rec| verifies(buf, rec))
+}
+
 /// Whether every framed record verifies, checked in `threads` chunks of
 /// records (the calling thread takes the first).
 fn verify_all(buf: &[u8], records: &[Located], threads: usize) -> bool {
-    let all = |chunk: &[Located]| chunk.iter().all(|&rec| verifies(buf, rec));
+    let all = |chunk: &[Located]| verify_chunk(buf, chunk);
     if threads <= 1 || records.len() < 2 {
         return all(records);
     }
@@ -447,7 +526,7 @@ impl Store {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LOG_NAME);
         let mut recovery = RecoveryReport::default();
-        let mut image = match std::fs::read(&path) {
+        let mut image = match read_log(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
@@ -887,19 +966,100 @@ mod tests {
         }
     }
 
-    /// Every chunk's verdict counts: a bad record in any chunk fails the
-    /// threaded verification.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The four-lane verifier gives `verifies`' verdict for every
+        /// record, on records of unequal lengths (a quarter of them
+        /// empty) with damage anywhere: for every group of four, and
+        /// for a run that leaves one to three records over.
+        #[test]
+        fn lane_verdicts_equal_the_serial_verdicts(
+            records in vec((any::<u64>(), 0u8..4, vec(any::<u8>(), 0..90)), 1..15),
+            flips in vec((any::<u64>(), 1u8..=255), 0..4),
+        ) {
+            let payloads: Vec<(u64, Vec<u8>)> = records
+                .into_iter()
+                .map(|(key, empty, p)| (key, if empty == 0 { Vec::new() } else { p }))
+                .collect();
+            let mut raw = log_of(payloads.iter().map(|(k, p)| (*k, p.as_slice())));
+            let framed = scan_v2_serial(&raw).records;
+            prop_assert_eq!(framed.len(), payloads.len());
+            for (pos, mask) in flips {
+                let i = MAGIC.len() + pos as usize % (raw.len() - MAGIC.len());
+                raw[i] ^= mask;
+            }
+            let serial: Vec<bool> = framed.iter().map(|&rec| verifies(&raw, rec)).collect();
+            for (i, group) in framed.windows(4).enumerate() {
+                let lanes = verifies4(&raw, group.try_into().unwrap());
+                prop_assert_eq!(&lanes[..], &serial[i..i + 4]);
+            }
+            for start in 0..framed.len() {
+                let all = serial[start..].iter().all(|&ok| ok);
+                prop_assert_eq!(verify_chunk(&raw, &framed[start..]), all);
+            }
+        }
+    }
+
+    /// Every chunk's verdict counts, and so does every byte a lane
+    /// hashes: a flip of any payload or checksum byte of any record
+    /// fails the verification on one to four threads. The records
+    /// differ in length (one is empty), so a group's longer records
+    /// have bytes past its shortest, which the lanes finish alone.
     #[test]
     fn threaded_verify_catches_a_bad_record_in_any_chunk() {
-        let payloads: Vec<Vec<u8>> = (0..10u8).map(|k| vec![k; 50]).collect();
+        let payloads: Vec<Vec<u8>> = (0..11u8)
+            .map(|k| vec![k; usize::from(k) * 7 % 23])
+            .collect();
         let clean = log_of(payloads.iter().enumerate().map(|(k, p)| (k as u64, &p[..])));
         let framed = scan_v2_serial(&clean).records;
-        assert!(verify_all(&clean, &framed, 3));
-        for &(_, at, _) in &framed {
-            let mut bad = clean.clone();
-            bad[at] ^= 1;
-            assert!(!verify_all(&bad, &framed, 3), "flip at {at} missed");
+        for threads in 1..=4 {
+            assert!(verify_all(&clean, &framed, threads));
+            for &(_, at, len) in &framed {
+                for i in at - 8..at + len {
+                    let mut bad = clean.clone();
+                    bad[i] ^= 1;
+                    assert!(
+                        !verify_all(&bad, &framed, threads),
+                        "flip at {i} missed on {threads} threads"
+                    );
+                }
+            }
         }
+    }
+
+    /// The split read returns what `std::fs::read` does: for logs
+    /// below, at and above the size read on several threads, for odd
+    /// lengths, and for a file that grew or shrank after its length
+    /// was taken.
+    #[test]
+    fn split_read_equals_fs_read() {
+        let dir = temp_dir("split-read");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(LOG_NAME);
+        for len in [
+            0,
+            1,
+            4097,
+            PARALLEL_VERIFY_MIN - 1,
+            PARALLEL_VERIFY_MIN,
+            PARALLEL_VERIFY_MIN + 3,
+        ] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            std::fs::write(&path, &bytes).unwrap();
+            let file = File::open(&path).unwrap();
+            assert_eq!(read_log(&path).unwrap(), bytes, "{len} bytes");
+            for threads in 1..=4 {
+                for taken in [len, len / 3, len + 1, len + 5000] {
+                    let image = read_image(&file, taken, threads).unwrap();
+                    assert!(
+                        image == bytes,
+                        "{len} bytes read as {taken} on {threads} threads"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A corrupted length field misframes every record after it: the

@@ -2,9 +2,10 @@
 //! [`compact`] (rewrite clean). Exposed to operators as the
 //! `bftbcast store fsck|repair|compact` CLI verbs.
 //!
-//! All three scan the log the same way replay does — parsing and
-//! verifying every record checksum, resynchronizing across corrupt
-//! spans — so their verdicts match exactly what [`Store::open`](crate::Store::open) would
+//! All three read and scan the log the same way replay does — one read
+//! split over every core, then parsing and verifying every record
+//! checksum, resynchronizing across corrupt spans — so their verdicts
+//! match exactly what [`Store::open`](crate::Store::open) would
 //! recover:
 //!
 //! * **fsck** is read-only. It reports totals, quarantined spans, lost
@@ -39,7 +40,9 @@
 use std::io;
 use std::path::Path;
 
-use crate::log::{rewrite_bytes, scan_v1, scan_v2, write_atomic, Scan, LOG_NAME, MAGIC, MAGIC_V1};
+use crate::log::{
+    read_log, rewrite_bytes, scan_v1, scan_v2, write_atomic, Scan, LOG_NAME, MAGIC, MAGIC_V1,
+};
 
 /// What a read-only [`fsck`] scan found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,12 +114,12 @@ impl std::fmt::Display for RepairReport {
     }
 }
 
-/// Reads and scans a store directory's log; an absent log scans as an
-/// empty clean v2 log. Returns the log bytes with the scan that
+/// Reads a store directory's log as [`Store::open`](crate::Store::open)
+/// does and scans it; an absent log scans as an empty clean v2 log. Returns the log bytes with the scan that
 /// locates its records in them.
 pub(crate) fn scan_any(dir: &Path) -> io::Result<(Vec<u8>, Scan)> {
     let path = dir.join(LOG_NAME);
-    let raw = match std::fs::read(&path) {
+    let raw = match read_log(&path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => MAGIC.to_vec(),
         Err(e) => return Err(e),
